@@ -366,7 +366,7 @@ func newSecureMem(t *testing.T, cipher BlockCipher) *SecureMemory {
 	return sm
 }
 
-func desCipher(t *testing.T) BlockCipher {
+func desCipher(t testing.TB) BlockCipher {
 	t.Helper()
 	c, err := des.NewCipher([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	if err != nil {
@@ -375,7 +375,7 @@ func desCipher(t *testing.T) BlockCipher {
 	return c
 }
 
-func aesCipher(t *testing.T) BlockCipher {
+func aesCipher(t testing.TB) BlockCipher {
 	t.Helper()
 	c, err := aes.NewCipher(make([]byte, 16))
 	if err != nil {
@@ -393,10 +393,7 @@ func line(fill byte) []byte {
 }
 
 func TestSecureMemoryOTPRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		cipher func(*testing.T) BlockCipher
-	}{{"des", desCipher}, {"aes", aesCipher}} {
+	for _, tc := range ciphers {
 		t.Run(tc.name, func(t *testing.T) {
 			sm := newSecureMem(t, tc.cipher(t))
 			data := line(0x42)

@@ -1,25 +1,35 @@
 package core
 
 import (
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
+	"math"
 )
 
-// BlockCipher is the pad/direct-encryption primitive (internal/crypto/des
-// and internal/crypto/aes both satisfy it; so does crypto/cipher.Block).
+// BlockCipher is the pad/direct-encryption primitive. crypto/cipher.Block
+// satisfies it, and internal/crypto/des and internal/crypto/aes return one.
+// Encrypt and Decrypt must accept dst == src, as crypto/cipher.Block does.
 type BlockCipher interface {
 	BlockSize() int
 	Encrypt(dst, src []byte)
 	Decrypt(dst, src []byte)
 }
 
+// vaBits is the width of the protected virtual address space. Seed keeps
+// the sequence number above it, so SecureMemory rejects lines that do not
+// lie wholly below 2^vaBits.
+const vaBits = 48
+
 // Seed builds the per-block pad seed. Following Sections 3.4.1/3.4.2, the
 // seed is derived from the virtual address of the cipher block (so
 // neighbouring blocks get unrelated pads) and mutated by the line's
 // sequence number on every write (so rewrites of the same location get
-// fresh pads). Virtual addresses are assumed < 2^48, so folding the 16-bit
-// sequence number into the top bits keeps (line, seq, block) → seed unique.
+// fresh pads). Virtual addresses are < 2^48 (SecureMemory enforces it), so
+// folding the 16-bit sequence number into the top bits keeps
+// (line, seq, block) → seed unique.
 func Seed(lineVA uint64, seq uint16, blockIdx, blockSize int) uint64 {
-	return lineVA + uint64(blockIdx*blockSize) + uint64(seq)<<48
+	return lineVA + uint64(blockIdx*blockSize) + uint64(seq)<<vaBits
 }
 
 // EncMode records how a line is currently represented in external memory.
@@ -61,6 +71,10 @@ type memoryImage interface {
 // equations exactly. The timing schemes above model *when* these operations
 // complete; SecureMemory models *what* the bytes are, so the examples and
 // attack demos operate on genuine ciphertext.
+//
+// A SecureMemory is not safe for concurrent use: its sequence and mode
+// tables are plain maps, and it generates pads in per-instance scratch
+// blocks so that writes allocate nothing.
 type SecureMemory struct {
 	mem       memoryImage
 	cipher    BlockCipher
@@ -72,12 +86,20 @@ type SecureMemory struct {
 	seq map[uint64]uint16
 	// mode tracks the current encryption mode per line VA.
 	mode map[uint64]EncMode
+
+	seed []byte // cipher input: the 8-byte seed, zero-padded to one block
+	pad  []byte // one pad block, E_K(seed)
+	line []byte // one line of ciphertext on its way to memory
 }
 
 // NewSecureMemory wraps a memory image with line-granular encryption.
 func NewSecureMemory(m memoryImage, cipher BlockCipher, lineBytes int) (*SecureMemory, error) {
-	if lineBytes <= 0 || lineBytes%cipher.BlockSize() != 0 {
-		return nil, fmt.Errorf("core: line size %d not a multiple of cipher block %d", lineBytes, cipher.BlockSize())
+	bs := cipher.BlockSize()
+	if bs < 8 {
+		return nil, fmt.Errorf("core: cipher block %d bytes cannot hold an 8-byte seed", bs)
+	}
+	if lineBytes <= 0 || lineBytes%bs != 0 {
+		return nil, fmt.Errorf("core: line size %d not a multiple of cipher block %d", lineBytes, bs)
 	}
 	return &SecureMemory{
 		mem:       m,
@@ -85,6 +107,9 @@ func NewSecureMemory(m memoryImage, cipher BlockCipher, lineBytes int) (*SecureM
 		lineBytes: lineBytes,
 		seq:       make(map[uint64]uint16),
 		mode:      make(map[uint64]EncMode),
+		seed:      make([]byte, bs),
+		pad:       make([]byte, bs),
+		line:      make([]byte, lineBytes),
 	}, nil
 }
 
@@ -101,36 +126,25 @@ func (s *SecureMemory) lineAddr(va uint64) uint64 {
 	return va &^ uint64(s.lineBytes-1)
 }
 
-// pad produces the one-time pad for a whole line: E_K(seed_i) for every
-// cipher block i. The seed occupies the first 8 bytes of the cipher input;
-// wider blocks zero-pad (the unused bytes are constant, uniqueness comes
-// from the seed).
-func (s *SecureMemory) pad(lineVA uint64, seq uint16) []byte {
-	bs := s.cipher.BlockSize()
-	out := make([]byte, s.lineBytes)
-	in := make([]byte, bs)
-	for i := 0; i < s.lineBytes/bs; i++ {
-		seed := Seed(lineVA, seq, i, bs)
-		for j := 0; j < 8; j++ {
-			in[j] = byte(seed >> (8 * j))
-		}
-		for j := 8; j < bs; j++ {
-			in[j] = 0
-		}
-		s.cipher.Encrypt(out[i*bs:(i+1)*bs], in)
-	}
-	return out
-}
-
-func xorInto(dst, a, b []byte) {
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
+// xorPad sets dst = src XOR the one-time pad of (lineVA, seq). Block i of
+// the pad is E_K(seed_i): the little-endian seed fills the first 8 bytes
+// of the cipher input and wider blocks are zero-padded (the unused bytes
+// are constant, uniqueness comes from the seed). dst may be src.
+func (s *SecureMemory) xorPad(dst, src []byte, lineVA uint64, seq uint16) {
+	bs := len(s.pad)
+	for off := 0; off < s.lineBytes; off += bs {
+		binary.LittleEndian.PutUint64(s.seed, Seed(lineVA, seq, off/bs, bs))
+		s.cipher.Encrypt(s.pad, s.seed)
+		subtle.XORBytes(dst[off:off+bs], src[off:off+bs], s.pad)
 	}
 }
 
 func (s *SecureMemory) checkLine(va uint64, data []byte) error {
 	if va%uint64(s.lineBytes) != 0 {
 		return fmt.Errorf("core: address %#x not line aligned", va)
+	}
+	if va > 1<<vaBits-uint64(s.lineBytes) {
+		return fmt.Errorf("core: line %#x outside the %d-bit virtual address space", va, vaBits)
 	}
 	if data != nil && len(data) != s.lineBytes {
 		return fmt.Errorf("core: data length %d != line size %d", len(data), s.lineBytes)
@@ -140,14 +154,26 @@ func (s *SecureMemory) checkLine(va uint64, data []byte) error {
 
 // WriteLineOTP encrypts data with a fresh one-time pad (incrementing the
 // line's sequence number, paper equations 4-6) and stores the ciphertext.
+//
+// A line's 16-bit sequence space holds 65535 OTP writes. Wrapping to 0
+// would reuse a pad, so once a line's sequence number reaches 65535 every
+// further WriteLineOTP stores it direct-encrypted (WriteLineDirect) instead:
+// the line stays in ModeDirect with its sequence number pinned at 65535,
+// the functional counterpart of the timing model's re-encryption on
+// sequence wrap.
 func (s *SecureMemory) WriteLineOTP(lineVA uint64, data []byte) error {
 	if err := s.checkLine(lineVA, data); err != nil {
 		return err
 	}
-	s.seq[lineVA]++
-	ct := make([]byte, s.lineBytes)
-	xorInto(ct, data, s.pad(lineVA, s.seq[lineVA]))
-	s.mem.Write(lineVA, ct)
+	seq := s.seq[lineVA]
+	if seq == math.MaxUint16 {
+		s.writeDirect(lineVA, data)
+		return nil
+	}
+	seq++
+	s.seq[lineVA] = seq
+	s.xorPad(s.line, data, lineVA, seq)
+	s.mem.Write(lineVA, s.line)
 	s.mode[lineVA] = ModeOTP
 	return nil
 }
@@ -159,14 +185,17 @@ func (s *SecureMemory) WriteLineDirect(lineVA uint64, data []byte) error {
 	if err := s.checkLine(lineVA, data); err != nil {
 		return err
 	}
-	bs := s.cipher.BlockSize()
-	ct := make([]byte, s.lineBytes)
-	for i := 0; i < s.lineBytes/bs; i++ {
-		s.cipher.Encrypt(ct[i*bs:(i+1)*bs], data[i*bs:(i+1)*bs])
-	}
-	s.mem.Write(lineVA, ct)
-	s.mode[lineVA] = ModeDirect
+	s.writeDirect(lineVA, data)
 	return nil
+}
+
+func (s *SecureMemory) writeDirect(lineVA uint64, data []byte) {
+	bs := len(s.pad)
+	for off := 0; off < s.lineBytes; off += bs {
+		s.cipher.Encrypt(s.line[off:off+bs], data[off:off+bs])
+	}
+	s.mem.Write(lineVA, s.line)
+	s.mode[lineVA] = ModeDirect
 }
 
 // WriteLinePlain stores data unencrypted (shared library code, program
@@ -191,11 +220,18 @@ func (s *SecureMemory) InstallOTPImage(baseVA uint64, data []byte) error {
 	if len(data)%s.lineBytes != 0 {
 		return fmt.Errorf("core: image length %d not line multiple", len(data))
 	}
+	if len(data) > 0 {
+		if err := s.checkLine(baseVA, nil); err != nil {
+			return err
+		}
+		if err := s.checkLine(baseVA+uint64(len(data)-s.lineBytes), nil); err != nil {
+			return err
+		}
+	}
 	for off := 0; off < len(data); off += s.lineBytes {
 		lineVA := baseVA + uint64(off)
-		ct := make([]byte, s.lineBytes)
-		xorInto(ct, data[off:off+s.lineBytes], s.pad(lineVA, 0))
-		s.mem.Write(lineVA, ct)
+		s.xorPad(s.line, data[off:off+s.lineBytes], lineVA, 0)
+		s.mem.Write(lineVA, s.line)
 		s.mode[lineVA] = ModeOTP
 		s.seq[lineVA] = 0
 	}
@@ -215,34 +251,30 @@ func (s *SecureMemory) AdoptOTPLine(lineVA uint64) error {
 }
 
 // ReadLine fetches and decrypts the line at lineVA according to its current
-// mode.
+// mode. The returned slice is freshly allocated and owned by the caller.
 func (s *SecureMemory) ReadLine(lineVA uint64) ([]byte, error) {
-	if err := s.checkLine(lineVA, nil); err != nil {
+	raw, err := s.RawLine(lineVA)
+	if err != nil {
 		return nil, err
 	}
-	raw := make([]byte, s.lineBytes)
-	s.mem.Read(lineVA, raw)
 	switch s.mode[lineVA] {
 	case ModePlain:
-		return raw, nil
 	case ModeOTP:
-		pt := make([]byte, s.lineBytes)
-		xorInto(pt, raw, s.pad(lineVA, s.seq[lineVA]))
-		return pt, nil
+		s.xorPad(raw, raw, lineVA, s.seq[lineVA])
 	case ModeDirect:
-		bs := s.cipher.BlockSize()
-		pt := make([]byte, s.lineBytes)
-		for i := 0; i < s.lineBytes/bs; i++ {
-			s.cipher.Decrypt(pt[i*bs:(i+1)*bs], raw[i*bs:(i+1)*bs])
+		bs := len(s.pad)
+		for off := 0; off < s.lineBytes; off += bs {
+			s.cipher.Decrypt(raw[off:off+bs], raw[off:off+bs])
 		}
-		return pt, nil
 	default:
 		return nil, fmt.Errorf("core: line %#x has unknown mode", lineVA)
 	}
+	return raw, nil
 }
 
 // RawLine returns the stored (cipher)text without decryption — the
-// adversary's view of the bus/memory.
+// adversary's view of the bus/memory. The returned slice is freshly
+// allocated and owned by the caller.
 func (s *SecureMemory) RawLine(lineVA uint64) ([]byte, error) {
 	if err := s.checkLine(lineVA, nil); err != nil {
 		return nil, err

@@ -1,234 +1,17 @@
-// Package aes implements the AES (FIPS-197) block cipher from scratch.
+// Package aes is the AES pad cipher of the functional protected memory.
 //
 // The paper notes (Section 3.3) that "stronger ciphers such as AES" imply a
 // longer encryption latency on XOM's critical path, and its Figure 10 models
-// a 102-cycle unit. This package provides the functional cipher used as an
-// alternative pad generator; internal/crypto/engine models its latency.
-//
-// The S-box and its inverse are derived algebraically at init time (GF(2^8)
-// inversion followed by the affine transform) rather than transcribed, and
-// the whole cipher is cross-validated against crypto/aes in tests.
+// a 102-cycle unit; internal/crypto/engine models that latency. This
+// package is a shim over crypto/aes, kept so the functional layer and its
+// callers name the cipher by this import path.
 package aes
 
-import "fmt"
+import (
+	"crypto/aes"
+	"crypto/cipher"
+)
 
-// BlockSize is the AES block size in bytes.
-const BlockSize = 16
-
-// KeySizeError is returned by NewCipher for invalid key lengths.
-type KeySizeError int
-
-func (k KeySizeError) Error() string {
-	return fmt.Sprintf("aes: invalid key size %d (want 16, 24 or 32)", int(k))
-}
-
-var sbox, invSbox [256]byte
-
-func init() {
-	// Build the S-box: s = affine(inverse(x)) over GF(2^8) mod x^8+x^4+x^3+x+1.
-	for i := 0; i < 256; i++ {
-		inv := gfInv(byte(i))
-		s := inv ^ rotl8(inv, 1) ^ rotl8(inv, 2) ^ rotl8(inv, 3) ^ rotl8(inv, 4) ^ 0x63
-		sbox[i] = s
-		invSbox[s] = byte(i)
-	}
-}
-
-func rotl8(v byte, n uint) byte { return v<<n | v>>(8-n) }
-
-// gfMul multiplies two elements of GF(2^8) with the AES polynomial.
-func gfMul(a, b byte) byte {
-	var p byte
-	for b != 0 {
-		if b&1 != 0 {
-			p ^= a
-		}
-		hi := a & 0x80
-		a <<= 1
-		if hi != 0 {
-			a ^= 0x1b
-		}
-		b >>= 1
-	}
-	return p
-}
-
-// gfInv returns the multiplicative inverse in GF(2^8), with gfInv(0) = 0.
-// It uses exponentiation: a^254 = a^-1.
-func gfInv(a byte) byte {
-	if a == 0 {
-		return 0
-	}
-	// a^254 by square-and-multiply (254 = 0b11111110).
-	result := byte(1)
-	base := a
-	for _, bit := range [8]int{0, 1, 1, 1, 1, 1, 1, 1} { // LSB..MSB of 254
-		if bit == 1 {
-			result = gfMul(result, base)
-		}
-		base = gfMul(base, base)
-	}
-	return result
-}
-
-// Cipher is an AES instance with expanded round keys.
-type Cipher struct {
-	enc    []uint32 // round keys for encryption, 4 words per round key
-	rounds int
-}
-
-// NewCipher creates an AES cipher. The key must be 16, 24 or 32 bytes for
-// AES-128/192/256 respectively.
-func NewCipher(key []byte) (*Cipher, error) {
-	var rounds int
-	switch len(key) {
-	case 16:
-		rounds = 10
-	case 24:
-		rounds = 12
-	case 32:
-		rounds = 14
-	default:
-		return nil, KeySizeError(len(key))
-	}
-	c := &Cipher{rounds: rounds}
-	c.expandKey(key)
-	return c, nil
-}
-
-// BlockSize returns the cipher block size (16).
-func (c *Cipher) BlockSize() int { return BlockSize }
-
-func (c *Cipher) expandKey(key []byte) {
-	nk := len(key) / 4
-	total := 4 * (c.rounds + 1)
-	w := make([]uint32, total)
-	for i := 0; i < nk; i++ {
-		w[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 | uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
-	}
-	rcon := uint32(1) << 24
-	for i := nk; i < total; i++ {
-		t := w[i-1]
-		if i%nk == 0 {
-			t = subWord(t<<8|t>>24) ^ rcon
-			rcon = uint32(gfMul(byte(rcon>>24), 2)) << 24
-		} else if nk > 6 && i%nk == 4 {
-			t = subWord(t)
-		}
-		w[i] = w[i-nk] ^ t
-	}
-	c.enc = w
-}
-
-func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
-		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
-}
-
-// Encrypt encrypts one 16-byte block from src into dst (dst == src allowed).
-func (c *Cipher) Encrypt(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: input/output not full block")
-	}
-	var st [16]byte
-	copy(st[:], src[:16])
-	c.addRoundKey(&st, 0)
-	for r := 1; r < c.rounds; r++ {
-		subBytes(&st)
-		shiftRows(&st)
-		mixColumns(&st)
-		c.addRoundKey(&st, r)
-	}
-	subBytes(&st)
-	shiftRows(&st)
-	c.addRoundKey(&st, c.rounds)
-	copy(dst[:16], st[:])
-}
-
-// Decrypt decrypts one 16-byte block from src into dst (dst == src allowed).
-func (c *Cipher) Decrypt(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: input/output not full block")
-	}
-	var st [16]byte
-	copy(st[:], src[:16])
-	c.addRoundKey(&st, c.rounds)
-	for r := c.rounds - 1; r >= 1; r-- {
-		invShiftRows(&st)
-		invSubBytes(&st)
-		c.addRoundKey(&st, r)
-		invMixColumns(&st)
-	}
-	invShiftRows(&st)
-	invSubBytes(&st)
-	c.addRoundKey(&st, 0)
-	copy(dst[:16], st[:])
-}
-
-// State layout: st[4*c+r] is row r, column c (column-major, FIPS-197 order,
-// matching the byte order of the input block).
-func (c *Cipher) addRoundKey(st *[16]byte, round int) {
-	for col := 0; col < 4; col++ {
-		w := c.enc[4*round+col]
-		st[4*col+0] ^= byte(w >> 24)
-		st[4*col+1] ^= byte(w >> 16)
-		st[4*col+2] ^= byte(w >> 8)
-		st[4*col+3] ^= byte(w)
-	}
-}
-
-func subBytes(st *[16]byte) {
-	for i, v := range st {
-		st[i] = sbox[v]
-	}
-}
-
-func invSubBytes(st *[16]byte) {
-	for i, v := range st {
-		st[i] = invSbox[v]
-	}
-}
-
-func shiftRows(st *[16]byte) {
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for col := 0; col < 4; col++ {
-			row[col] = st[4*((col+r)%4)+r]
-		}
-		for col := 0; col < 4; col++ {
-			st[4*col+r] = row[col]
-		}
-	}
-}
-
-func invShiftRows(st *[16]byte) {
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for col := 0; col < 4; col++ {
-			row[col] = st[4*((col+4-r)%4)+r]
-		}
-		for col := 0; col < 4; col++ {
-			st[4*col+r] = row[col]
-		}
-	}
-}
-
-func mixColumns(st *[16]byte) {
-	for col := 0; col < 4; col++ {
-		a0, a1, a2, a3 := st[4*col], st[4*col+1], st[4*col+2], st[4*col+3]
-		st[4*col+0] = gfMul(a0, 2) ^ gfMul(a1, 3) ^ a2 ^ a3
-		st[4*col+1] = a0 ^ gfMul(a1, 2) ^ gfMul(a2, 3) ^ a3
-		st[4*col+2] = a0 ^ a1 ^ gfMul(a2, 2) ^ gfMul(a3, 3)
-		st[4*col+3] = gfMul(a0, 3) ^ a1 ^ a2 ^ gfMul(a3, 2)
-	}
-}
-
-func invMixColumns(st *[16]byte) {
-	for col := 0; col < 4; col++ {
-		a0, a1, a2, a3 := st[4*col], st[4*col+1], st[4*col+2], st[4*col+3]
-		st[4*col+0] = gfMul(a0, 14) ^ gfMul(a1, 11) ^ gfMul(a2, 13) ^ gfMul(a3, 9)
-		st[4*col+1] = gfMul(a0, 9) ^ gfMul(a1, 14) ^ gfMul(a2, 11) ^ gfMul(a3, 13)
-		st[4*col+2] = gfMul(a0, 13) ^ gfMul(a1, 9) ^ gfMul(a2, 14) ^ gfMul(a3, 11)
-		st[4*col+3] = gfMul(a0, 11) ^ gfMul(a1, 13) ^ gfMul(a2, 9) ^ gfMul(a3, 14)
-	}
-}
+// NewCipher returns an AES block cipher. The key must be 16, 24 or 32 bytes
+// for AES-128/192/256 respectively.
+func NewCipher(key []byte) (cipher.Block, error) { return aes.NewCipher(key) }

@@ -1,155 +1,20 @@
-// Package des implements the Data Encryption Standard (FIPS 46-2) block
-// cipher from scratch.
+// Package des is the DES pad cipher of the functional protected memory.
 //
 // The paper's evaluation assumes a fast pipelined DES ASIC as the pad
 // generator for one-time-pad memory encryption (Section 3.4.1 encrypts
-// instruction pairs with DES under the vendor key). This package provides
-// the functional cipher; internal/crypto/engine models its latency.
+// instruction pairs with DES under the vendor key); internal/crypto/engine
+// models its latency. This package is a shim over crypto/des, kept so the
+// functional layer and its callers name the cipher by this import path.
 //
 // DES is used here exactly as the paper uses it: as a pseudo-random
 // permutation generating pads, not as a recommendation for new designs.
 package des
 
-import "fmt"
+import (
+	"crypto/cipher"
+	"crypto/des"
+)
 
-// BlockSize is the DES block size in bytes.
-const BlockSize = 8
-
-// KeySize is the DES key size in bytes (8 bytes, 56 effective bits).
-const KeySize = 8
-
-// KeySizeError is returned by NewCipher for invalid key lengths.
-type KeySizeError int
-
-func (k KeySizeError) Error() string {
-	return fmt.Sprintf("des: invalid key size %d (want %d)", int(k), KeySize)
-}
-
-// Cipher is a DES instance with an expanded key schedule. It implements the
-// same interface shape as crypto/cipher.Block.
-type Cipher struct {
-	subkeys [16]uint64 // 48-bit round keys, right-aligned
-}
-
-// NewCipher creates a DES cipher from an 8-byte key. Parity bits are ignored,
-// as in FIPS 46-2.
-func NewCipher(key []byte) (*Cipher, error) {
-	if len(key) != KeySize {
-		return nil, KeySizeError(len(key))
-	}
-	c := &Cipher{}
-	c.expandKey(be64(key))
-	return c, nil
-}
-
-// BlockSize returns the cipher block size (8).
-func (c *Cipher) BlockSize() int { return BlockSize }
-
-// Encrypt encrypts one 8-byte block from src into dst. dst and src may
-// overlap entirely.
-func (c *Cipher) Encrypt(dst, src []byte) {
-	checkBlock(dst, src)
-	put64(dst, c.crypt(be64(src), false))
-}
-
-// Decrypt decrypts one 8-byte block from src into dst.
-func (c *Cipher) Decrypt(dst, src []byte) {
-	checkBlock(dst, src)
-	put64(dst, c.crypt(be64(src), true))
-}
-
-// EncryptBlock encrypts a 64-bit block given as an integer. This is the fast
-// path used by the pad generator, which works on integer seeds.
-func (c *Cipher) EncryptBlock(v uint64) uint64 { return c.crypt(v, false) }
-
-// DecryptBlock decrypts a 64-bit block given as an integer.
-func (c *Cipher) DecryptBlock(v uint64) uint64 { return c.crypt(v, true) }
-
-func checkBlock(dst, src []byte) {
-	if len(src) < BlockSize {
-		panic("des: input not full block")
-	}
-	if len(dst) < BlockSize {
-		panic("des: output not full block")
-	}
-	// Aliasing note: the whole block is read into a register before any
-	// byte of dst is written, so dst == src is safe. Partially overlapping
-	// buffers are a caller bug this package does not attempt to detect.
-}
-
-func be64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func put64(b []byte, v uint64) {
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
-}
-
-// permute applies a DES permutation table to a w-bit value held in the low
-// bits of v (bit 1 of the table refers to the most significant of the w
-// bits). The result has len(table) bits, again left-justified within its
-// width.
-func permute(v uint64, w uint, table []byte) uint64 {
-	var out uint64
-	for _, pos := range table {
-		out <<= 1
-		out |= (v >> (w - uint(pos))) & 1
-	}
-	return out
-}
-
-func (c *Cipher) expandKey(key uint64) {
-	// PC-1: 64 -> 56 bits split into two 28-bit halves.
-	k56 := permute(key, 64, pc1[:])
-	left := uint32(k56 >> 28)         // C0
-	right := uint32(k56 & 0x0fffffff) // D0
-	for i := 0; i < 16; i++ {
-		s := keyShifts[i]
-		left = rot28(left, s)
-		right = rot28(right, s)
-		cd := uint64(left)<<28 | uint64(right)
-		c.subkeys[i] = permute(cd, 56, pc2[:])
-	}
-}
-
-func rot28(v uint32, n uint) uint32 {
-	return ((v << n) | (v >> (28 - n))) & 0x0fffffff
-}
-
-func (c *Cipher) crypt(v uint64, decrypt bool) uint64 {
-	v = permute(v, 64, ip[:])
-	left := uint32(v >> 32)
-	right := uint32(v)
-	for i := 0; i < 16; i++ {
-		k := c.subkeys[i]
-		if decrypt {
-			k = c.subkeys[15-i]
-		}
-		left, right = right, left^feistel(right, k)
-	}
-	// Final swap is undone (the 16th round does not swap).
-	out := uint64(right)<<32 | uint64(left)
-	return permute(out, 64, fp[:])
-}
-
-// feistel is the DES round function: expand, mix with the round key,
-// substitute through the eight S-boxes, permute.
-func feistel(r uint32, k uint64) uint32 {
-	e := permute(uint64(r), 32, expansion[:]) ^ k // 48 bits
-	var out uint32
-	for i := 0; i < 8; i++ {
-		six := byte(e>>(uint(7-i)*6)) & 0x3f
-		row := (six&0x20)>>4 | six&1
-		col := (six >> 1) & 0x0f
-		out = out<<4 | uint32(sboxes[i][row][col])
-	}
-	return uint32(permute(uint64(out), 32, pbox[:]))
-}
+// NewCipher returns a DES block cipher for an 8-byte key. Parity bits are
+// ignored, as in FIPS 46-2.
+func NewCipher(key []byte) (cipher.Block, error) { return des.NewCipher(key) }

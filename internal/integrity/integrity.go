@@ -18,11 +18,12 @@
 package integrity
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"secureproc/internal/crypto/sha256"
+	"hash"
 )
 
 // MACSize is the stored MAC width in bytes (truncated SHA-256 HMAC; the
@@ -30,9 +31,14 @@ import (
 const MACSize = 16
 
 // Verifier computes and checks per-line MACs under a chip-internal key.
+//
+// A Verifier is not safe for concurrent use: it keeps one keyed HMAC state
+// and its input/output scratch per instance, so MAC allocates nothing.
 type Verifier struct {
-	key       []byte
 	lineBytes int
+	mac       hash.Hash // HMAC-SHA-256 under the chip key, Reset per line
+	meta      [10]byte  // lineVA and seq, the MAC input after the ciphertext
+	sum       [sha256.Size]byte
 
 	// Verified / Failed count check outcomes.
 	Verified uint64
@@ -50,28 +56,23 @@ func NewVerifier(key []byte, lineBytes int) (*Verifier, error) {
 	if len(key) == 0 {
 		return nil, fmt.Errorf("integrity: empty key")
 	}
-	return &Verifier{key: append([]byte(nil), key...), lineBytes: lineBytes}, nil
-}
-
-// macInput binds ciphertext, address and sequence number.
-func (v *Verifier) macInput(lineVA uint64, seq uint16, ct []byte) []byte {
-	buf := make([]byte, 0, len(ct)+10)
-	buf = append(buf, ct...)
-	var meta [10]byte
-	binary.LittleEndian.PutUint64(meta[0:], lineVA)
-	binary.LittleEndian.PutUint16(meta[8:], seq)
-	return append(buf, meta[:]...)
+	return &Verifier{mac: hmac.New(sha256.New, key), lineBytes: lineBytes}, nil
 }
 
 // MAC computes the stored MAC for a line's ciphertext at lineVA with the
-// given sequence number.
+// given sequence number: HMAC-SHA-256(ct || le64(lineVA) || le16(seq)),
+// truncated to MACSize bytes.
 func (v *Verifier) MAC(lineVA uint64, seq uint16, ct []byte) ([MACSize]byte, error) {
 	var out [MACSize]byte
 	if len(ct) != v.lineBytes {
 		return out, fmt.Errorf("integrity: line length %d != %d", len(ct), v.lineBytes)
 	}
-	full := sha256.HMAC(v.key, v.macInput(lineVA, seq, ct))
-	copy(out[:], full[:MACSize])
+	binary.LittleEndian.PutUint64(v.meta[0:], lineVA)
+	binary.LittleEndian.PutUint16(v.meta[8:], seq)
+	v.mac.Reset()
+	v.mac.Write(ct)
+	v.mac.Write(v.meta[:])
+	copy(out[:], v.mac.Sum(v.sum[:0]))
 	return out, nil
 }
 
@@ -81,23 +82,12 @@ func (v *Verifier) Check(lineVA uint64, seq uint16, ct []byte, mac [MACSize]byte
 	if err != nil {
 		return err
 	}
-	if !constEq(want[:], mac[:]) {
+	if !hmac.Equal(want[:], mac[:]) {
 		v.Failed++
 		return fmt.Errorf("%w (line %#x)", ErrTampered, lineVA)
 	}
 	v.Verified++
 	return nil
-}
-
-func constEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var d byte
-	for i := range a {
-		d |= a[i] ^ b[i]
-	}
-	return d == 0
 }
 
 // ProtectedStore couples ciphertext lines with their MACs — the functional
@@ -132,7 +122,9 @@ func (p *ProtectedStore) Write(lineVA uint64, ct []byte) error {
 	if err != nil {
 		return err
 	}
-	p.lines[lineVA] = append([]byte(nil), ct...)
+	// The store owns its line buffers (reads, snapshots and tampers all
+	// copy), so a rewrite reuses the line's buffer.
+	p.lines[lineVA] = append(p.lines[lineVA][:0], ct...)
 	p.macs[lineVA] = mac
 	return nil
 }

@@ -2,6 +2,9 @@ package integrity
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -169,5 +172,50 @@ func TestRandomTamperAlwaysDetected(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHMACSHA256KnownAnswer pins the MAC primitive to RFC 4231 test case 1
+// and the Verifier's MAC to its definition: HMAC-SHA-256 under the chip key
+// over ct || le64(lineVA) || le16(seq), truncated to MACSize bytes.
+func TestHMACSHA256KnownAnswer(t *testing.T) {
+	m := hmac.New(sha256.New, bytes.Repeat([]byte{0x0b}, 20))
+	m.Write([]byte("Hi There"))
+	if got, want := hex.EncodeToString(m.Sum(nil)), "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"; got != want {
+		t.Fatalf("HMAC-SHA-256 RFC 4231 case 1 = %s, want %s", got, want)
+	}
+	key := []byte("chip-internal-key")
+	v, err := NewVerifier(key, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := line(0x3c)
+	got, err := v.MAC(0x1234_5680, 0xbeef, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = hmac.New(sha256.New, key)
+	m.Write(ct)
+	m.Write([]byte{0x80, 0x56, 0x34, 0x12, 0, 0, 0, 0, 0xef, 0xbe})
+	if want := m.Sum(nil)[:MACSize]; !bytes.Equal(got[:], want) {
+		t.Errorf("Verifier.MAC = %x, want %x", got, want)
+	}
+}
+
+// TestVerifierMACAllocs locks in the allocation-free MAC path.
+func TestVerifierMACAllocs(t *testing.T) {
+	v, err := NewVerifier([]byte("chip-internal-key"), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := line(0x3c)
+	var seq uint16
+	if n := testing.AllocsPerRun(100, func() {
+		seq++
+		if _, err := v.MAC(0x1000, seq, ct); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Verifier.MAC: %v allocs/op, want 0", n)
 	}
 }

@@ -28,8 +28,12 @@ import (
 	"sync"
 	"time"
 
+	"secureproc/internal/core"
+	"secureproc/internal/crypto/aes"
+	"secureproc/internal/crypto/des"
 	"secureproc/internal/dispatch"
 	"secureproc/internal/experiments"
+	"secureproc/internal/mem"
 	"secureproc/internal/sim"
 	"secureproc/internal/workload"
 )
@@ -92,7 +96,61 @@ func Collect() Snapshot {
 	s["latency-snc-lru-mcf-serial"] = serial
 	s[fmt.Sprintf("latency-snc-lru-mcf-simjobs%d", latencyWorkers)] = parallel
 	s["dispatch-overhead"] = measureDispatch()
+	dc, err := des.NewCipher([]byte("8bytekey"))
+	if err != nil {
+		panic(err)
+	}
+	ac, err := aes.NewCipher([]byte("sixteen byte key"))
+	if err != nil {
+		panic(err)
+	}
+	s["securemem-des"] = measureSecureMem(dc)
+	s["securemem-aes"] = measureSecureMem(ac)
 	return s
+}
+
+// Geometry of the securemem probes: securememOps line operations per op
+// over a securememLines-line working set of 128-byte lines.
+const (
+	securememOps   = 1 << 15
+	securememLines = 256
+	securememLine  = 128
+)
+
+// measureSecureMem prices the functional protected memory with the given
+// pad cipher: a fixed 70/30 mix of ReadLine and steady-state WriteLineOTP
+// over a pre-filled working set. Unlike the other probes, NsPerOp and
+// AllocsPerOp are per line operation: a read allocates only the line it
+// returns, a write nothing.
+func measureSecureMem(c core.BlockCipher) Metric {
+	sm, err := core.NewSecureMemory(mem.NewMemory(), c, securememLine)
+	if err != nil {
+		panic(err)
+	}
+	data := make([]byte, securememLine)
+	va := func(i int) uint64 { return 0x4000_0000 + uint64(i%securememLines)*securememLine }
+	for i := 0; i < securememLines; i++ {
+		if err := sm.WriteLineOTP(va(i), data); err != nil {
+			panic(err)
+		}
+	}
+	m := measureOp(func() (int, uint64) {
+		for i := 0; i < securememOps; i++ {
+			a := va(i * 97) // 97 is coprime to the line count: every line, scattered
+			if i%10 < 3 {
+				data[0] = byte(i)
+				if err := sm.WriteLineOTP(a, data); err != nil {
+					panic(err)
+				}
+			} else if _, err := sm.ReadLine(a); err != nil {
+				panic(err)
+			}
+		}
+		return 0, 0
+	})
+	m.NsPerOp /= securememOps
+	m.AllocsPerOp /= securememOps
+	return m
 }
 
 // dispatchJobs is the batch size of the dispatch-overhead probe.

@@ -1,10 +1,10 @@
 package xom
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-
-	"secureproc/internal/crypto/sha256"
 )
 
 // This file models XOM's internal protection for multi-tasking (paper
@@ -132,8 +132,16 @@ func padWord(key []byte, id CompartmentID, ctr uint64, r int) uint32 {
 	binary.LittleEndian.PutUint16(seed[0:], uint16(id))
 	binary.LittleEndian.PutUint64(seed[2:], ctr)
 	binary.LittleEndian.PutUint32(seed[10:], uint32(r))
-	h := sha256.HMAC(key, seed[:])
+	h := hmacSHA256(key, seed[:])
 	return binary.LittleEndian.Uint32(h[:4])
+}
+
+// hmacSHA256 returns HMAC-SHA-256(key, msg).
+func hmacSHA256(key, msg []byte) (out [sha256.Size]byte) {
+	m := hmac.New(sha256.New, key)
+	m.Write(msg)
+	m.Sum(out[:0])
+	return out
 }
 
 // SealRegisters encrypts the register file slice owned by id for delivery
@@ -155,7 +163,7 @@ func (m *Manager) SealRegisters(id CompartmentID, rf *RegisterFile) (SealedRegs,
 	}
 	binary.LittleEndian.PutUint16(macInput[128:], uint16(id))
 	binary.LittleEndian.PutUint64(macInput[130:], ctr)
-	out.MAC = sha256.HMAC(key, macInput[:])
+	out.MAC = hmacSHA256(key, macInput[:])
 	// The OS now owns the physical registers.
 	for r := 0; r < 32; r++ {
 		rf.regs[r] = taggedReg{owner: OSCompartment}
@@ -177,7 +185,7 @@ func (m *Manager) UnsealRegisters(sealed SealedRegs, rf *RegisterFile) error {
 	}
 	binary.LittleEndian.PutUint16(macInput[128:], uint16(sealed.Compartment))
 	binary.LittleEndian.PutUint64(macInput[130:], sealed.Counter)
-	want := sha256.HMAC(key, macInput[:])
+	want := hmacSHA256(key, macInput[:])
 	if want != sealed.MAC {
 		return fmt.Errorf("xom: register save MAC mismatch (tampered or spliced)")
 	}

@@ -185,37 +185,35 @@ func AllFigures(scale float64) []FigureResult {
 type CipherKind int
 
 const (
-	// CipherDES uses the from-scratch DES (8-byte blocks), the paper's
+	// CipherDES uses DES (8-byte blocks, stdlib crypto/des), the paper's
 	// Section 3.4.1 choice.
 	CipherDES CipherKind = iota
-	// CipherAES uses the from-scratch AES-128 (16-byte blocks).
+	// CipherAES uses AES (16-byte blocks, stdlib crypto/aes); a 16-, 24-
+	// or 32-byte key selects AES-128, -192 or -256.
 	CipherAES
 )
 
 // ProtectedMemory is a byte-accurate protected external memory implementing
 // the paper's encryption equations with real ciphers. See
-// internal/core.SecureMemory for the method set.
+// internal/core.SecureMemory for the method set; it is not safe for
+// concurrent use.
 type ProtectedMemory = core.SecureMemory
 
 // NewProtectedMemory builds a functional protected memory with the given
 // pad cipher, key and line size (the paper uses 128-byte lines).
 func NewProtectedMemory(kind CipherKind, key []byte, lineBytes int) (*ProtectedMemory, error) {
 	var cipher core.BlockCipher
+	var err error
 	switch kind {
 	case CipherDES:
-		c, err := des.NewCipher(key)
-		if err != nil {
-			return nil, err
-		}
-		cipher = c
+		cipher, err = des.NewCipher(key)
 	case CipherAES:
-		c, err := aes.NewCipher(key)
-		if err != nil {
-			return nil, err
-		}
-		cipher = c
+		cipher, err = aes.NewCipher(key)
 	default:
 		return nil, fmt.Errorf("secureproc: unknown cipher kind %d", kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return core.NewSecureMemory(mem.NewMemory(), cipher, lineBytes)
 }
