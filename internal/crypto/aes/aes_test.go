@@ -63,7 +63,7 @@ func TestInvalidKeySize(t *testing.T) {
 func TestAgainstStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, ks := range []int{16, 24, 32} {
-		for i := 0; i < 20; i++ {
+		for i := 0; i < 200; i++ {
 			key := make([]byte, ks)
 			pt := make([]byte, 16)
 			rng.Read(key)

@@ -69,7 +69,7 @@ func TestInvalidKeySize(t *testing.T) {
 // unchanged: every random key yields the cipher crypto/des builds.
 func TestAgainstStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 500; i++ {
 		key := make([]byte, 8)
 		pt := make([]byte, 8)
 		rng.Read(key)
