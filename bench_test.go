@@ -355,7 +355,11 @@ func BenchmarkPadCipher(b *testing.B) {
 			line := make([]byte, 128)
 			b.SetBytes(128)
 			for i := 0; i < b.N; i++ {
-				if err := pm.WriteLineOTP(0x1000, line); err != nil {
+				// Cycle over 1024 lines: one line's 16-bit sequence space
+				// runs out after 65535 writes, and the writes then fall back
+				// to direct encryption.
+				va := 0x1000 + uint64(i%1024)*128
+				if err := pm.WriteLineOTP(va, line); err != nil {
 					b.Fatal(err)
 				}
 			}
