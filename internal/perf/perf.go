@@ -1,8 +1,9 @@
 // Package perf is the repository's performance harness: it runs a fixed,
 // reduced-scale slice of the paper's figure sweep plus targeted
-// single-simulation probes and the functional protected memory, measures wall-clock, simulation throughput,
-// instruction throughput and allocations, and emits a machine-readable
-// snapshot (benchmark name → {ns/op, allocs/op, sims/sec}).
+// single-simulation probes and functional protected-memory probes,
+// measures wall-clock, simulation throughput, instruction throughput and
+// allocations, and emits a machine-readable snapshot (benchmark name →
+// {ns/op, allocs/op, sims/sec}).
 //
 // The snapshot has two consumers:
 //
