@@ -213,19 +213,27 @@ func mustSpec(t *testing.T, bench string) experiments.Spec {
 // visible in fallback_total, and the fleet rollup listing the dead peer as
 // unreachable instead of failing the scrape.
 func TestClusterPeerDownFallsBackLocally(t *testing.T) {
-	sa, _, tsa, tsb := newClusterPair(t, Config{})
+	sa, sb, tsa, tsb := newClusterPair(t, Config{})
 
-	// Find a spec node B owns, as seen from node A.
-	var body string
-	for _, b := range workload.BenchmarkNames {
-		cand := fmt.Sprintf(`{"bench":%q,"scheme":"snc-lru"}`, b)
-		if _, local := specOwner(t, sa, cand); !local {
-			body = cand
-			break
+	// Find a spec the peer owns, as seen from node A. The ring depends on
+	// the random test ports; if it hands every benchmark to A, then B owns
+	// none of them and forwards them all, so the roles swap.
+	forwarded := func(s *Server) string {
+		for _, b := range workload.BenchmarkNames {
+			cand := fmt.Sprintf(`{"bench":%q,"scheme":"snc-lru"}`, b)
+			if _, local := specOwner(t, s, cand); !local {
+				return cand
+			}
 		}
+		return ""
+	}
+	body := forwarded(sa)
+	if body == "" {
+		sa, tsa, tsb = sb, tsb, tsa
+		body = forwarded(sa)
 	}
 	if body == "" {
-		t.Skip("ring handed every benchmark to node A; nothing to forward")
+		t.Fatal("neither node forwards any benchmark to its peer")
 	}
 
 	tsb.Close() // peer down
