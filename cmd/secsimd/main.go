@@ -6,17 +6,11 @@
 //
 // Usage:
 //
-//	secsimd [-addr :8080] [-scale 1.0] [-jobs N] [-simjobs K|auto]
+//	secsimd [-addr :8080] [-scale 1.0] [-jobs N]
 //	        [-memo-capacity 0] [-trace-capacity 0] [-drain 30s]
 //	        [-store DIR] [-maxadmit 0] [-stream]
 //	        [-peers host:port,... -self host:port] [-hoplimit 3]
 //	        [-batchwindow 0]
-//
-// With -simjobs K > 1, a single uncached simulation may split its measured
-// phase into K speculative epochs and run them on idle -jobs slots (see
-// /metrics "speculation"); results are byte-identical to serial runs.
-// "-simjobs auto" sizes the split from observed idle slots instead of a
-// fixed K.
 //
 // With -maxadmit N > 0, at most N simulation requests (/v1/run, /v1/sweep,
 // /v1/figures) are admitted concurrently; request N+1 is rejected
@@ -78,15 +72,23 @@ import (
 	"syscall"
 	"time"
 
-	"secureproc/internal/experiments"
 	"secureproc/internal/server"
+)
+
+// Connection timeouts. ReadHeaderTimeout bounds how long a client may take
+// to send its request headers, so a slow or stalled client cannot pin a
+// connection forever; IdleTimeout closes keep-alive connections that sit
+// unused between requests. Neither bounds a request body or a response:
+// a long sweep or stream runs as long as it needs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	scale := flag.Float64("scale", 1.0, "workload scale for every simulation")
 	jobs := flag.Int("jobs", 0, "concurrent simulations in sweep fan-out (0 = GOMAXPROCS)")
-	simJobs := flag.String("simjobs", "0", `epochs one simulation may run speculatively in parallel on idle -jobs slots (0/1 = serial, "auto" = size from idle slots)`)
 	capacity := flag.Int("memo-capacity", 0, "result-memo LRU capacity in entries (0 = unbounded)")
 	traceCap := flag.Int("trace-capacity", 0, "materialized-trace memo LRU capacity (0 = unbounded)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
@@ -99,14 +101,9 @@ func main() {
 	batchWindow := flag.Duration("batchwindow", 0, "hold locally-owned /v1/run requests this long and execute each window as one deduplicated batch (0 = off)")
 	flag.Parse()
 
-	sj, err := experiments.ParseSimJobs(*simJobs)
-	if err != nil {
-		log.Fatalf("secsimd: %v", err)
-	}
 	cfg := server.Config{
 		Scale:         *scale,
 		Jobs:          *jobs,
-		SimJobs:       sj,
 		Capacity:      *capacity,
 		TraceCapacity: *traceCap,
 		StoreDir:      *storeDir,
@@ -131,7 +128,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("secsimd: %v", err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -146,8 +148,8 @@ func main() {
 	if cfg.Cluster != nil {
 		clusterNote = *self + " in {" + *peers + "}"
 	}
-	log.Printf("secsimd listening on %s (scale %.2f, jobs %d, simjobs %s, memo capacity %d, trace capacity %d, store %s, maxadmit %d, stream %v, cluster %s)",
-		*addr, *scale, *jobs, *simJobs, *capacity, *traceCap, storeNote, *maxAdmit, *stream, clusterNote)
+	log.Printf("secsimd listening on %s (scale %.2f, jobs %d, memo capacity %d, trace capacity %d, store %s, maxadmit %d, stream %v, cluster %s)",
+		*addr, *scale, *jobs, *capacity, *traceCap, storeNote, *maxAdmit, *stream, clusterNote)
 
 	select {
 	case err := <-errc:

@@ -14,10 +14,6 @@ type seqTable struct {
 	lastCN    uint64
 	lastChunk *seqChunk
 	lineShift uint
-
-	// hashScratch holds the sorted chunk numbers during hashInto so that
-	// repeated boundary-state hashing is allocation-free in steady state.
-	hashScratch []uint64
 }
 
 // seqChunkBits is the log2 of lines per chunk: 512 lines × 128B span 64KB

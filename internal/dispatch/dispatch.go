@@ -2,16 +2,13 @@
 // process runs: one shared worker budget, a weighted-fair queue over
 // request owners, and admission control for the long-lived service.
 //
-// Before this package the concurrency machinery was smeared across four
-// layers — the experiment pool's goroutine fan-out, the lock-free borrow
-// seam epoch-parallel simulation drew idle slots from, the server's
+// Before this package the concurrency machinery was smeared across
+// layers — the experiment pool's goroutine fan-out, the server's
 // detach/await handlers, and the daemon's drain logic — so no single
 // place could admit, order, or shed load. dispatch centralizes the three
 // decisions:
 //
-//   - Budget: how many workers exist, who holds one right now, and how
-//     much slack is left for a simulation that wants to go wide
-//     (sim.EpochSim draws its extra epoch workers from here).
+//   - Budget: how many workers exist and who holds one right now.
 //   - Dispatcher: which queued job runs next. Jobs are tagged with an
 //     owner; owners share the budget by stride scheduling (an owner's
 //     virtual "pass" advances inversely to its weight each time it runs),
@@ -39,10 +36,9 @@ import (
 //
 //   - Hold marks a worker as busy unconditionally (a caller that will run
 //     regardless, like a direct library Run); used may exceed the cap,
-//     which simply leaves no slack for anyone else.
+//     which simply leaves no idle slot for anyone else.
 //   - TryAcquire claims slots only while used < cap and never blocks —
-//     the dispatcher claims one slot per running job this way, and
-//     epoch-parallel simulation claims its extra workers this way.
+//     the dispatcher claims one slot per running job this way.
 //
 // The zero value is usable after SetCap.
 type Budget struct {
@@ -58,7 +54,7 @@ func NewBudget(n int) *Budget {
 }
 
 // SetCap sets the number of worker slots. Safe to call concurrently;
-// shrinking below the currently-used count just leaves zero slack until
+// shrinking below the currently-used count just leaves no idle slot until
 // holders release.
 func (b *Budget) SetCap(n int) { b.capv.Store(int64(n)) }
 
@@ -68,15 +64,6 @@ func (b *Budget) Cap() int { return int(b.capv.Load()) }
 // Used returns the number of slots currently held (may exceed Cap when
 // unconditional holders overcommit).
 func (b *Budget) Used() int { return int(b.used.Load()) }
-
-// Slack returns the number of idle slots (never negative).
-func (b *Budget) Slack() int {
-	s := b.capv.Load() - b.used.Load()
-	if s < 0 {
-		return 0
-	}
-	return int(s)
-}
 
 // Hold marks one worker busy unconditionally. Pair with Release(1).
 func (b *Budget) Hold() { b.used.Add(1) }

@@ -19,9 +19,13 @@ func TestBudgetAccounting(t *testing.T) {
 		t.Fatalf("TryAcquire on a full budget = %d, want 0", got)
 	}
 	b.Release(3)
-	if b.Used() != 0 || b.Slack() != 3 {
-		t.Fatalf("after release: used=%d slack=%d, want 0/3", b.Used(), b.Slack())
+	if b.Used() != 0 || b.Cap() != 3 {
+		t.Fatalf("after release: used=%d cap=%d, want 0/3", b.Used(), b.Cap())
 	}
+	if got := b.TryAcquire(3); got != 3 {
+		t.Fatalf("TryAcquire(3) after full release = %d, want 3", got)
+	}
+	b.Release(3)
 
 	// Hold overcommits rather than blocking; TryAcquire must then grant
 	// nothing until the holders drain below the cap.
@@ -31,13 +35,17 @@ func TestBudgetAccounting(t *testing.T) {
 	if b.Used() != 5 {
 		t.Fatalf("after 5 holds on a 3-slot budget used=%d, want 5", b.Used())
 	}
-	if b.Slack() != 0 {
-		t.Fatalf("overcommitted slack=%d, want 0", b.Slack())
-	}
 	if got := b.TryAcquire(1); got != 0 {
 		t.Fatalf("TryAcquire while overcommitted = %d, want 0", got)
 	}
-	b.Release(5)
+	b.Release(3)
+	if b.Used() != 2 {
+		t.Fatalf("after draining to 2 holds used=%d, want 2", b.Used())
+	}
+	if got := b.TryAcquire(5); got != 1 {
+		t.Fatalf("TryAcquire(5) with holders back under the cap = %d, want 1", got)
+	}
+	b.Release(3)
 
 	if got := b.TryAcquire(0); got != 0 {
 		t.Fatalf("TryAcquire(0) = %d, want 0", got)

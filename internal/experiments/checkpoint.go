@@ -49,30 +49,33 @@ type CheckpointStats struct {
 
 // cpEntry is one cached checkpoint with intrusive LRU links.
 type cpEntry struct {
-	key        runKey
-	cp         *sim.Checkpoint
-	prev, next *cpEntry
+	key runKey
+	cp  *sim.Checkpoint
+	lruLinks[cpEntry]
 }
 
 // checkpointCache is a mutex-guarded LRU map of post-warmup checkpoints.
 // No singleflight: the result memo already deduplicates within a Runner, and
 // a cross-Runner duplicate warmup is rare and harmless.
 type checkpointCache struct {
-	mu         sync.Mutex
-	cap        int
-	entries    map[runKey]*cpEntry
-	head, tail *cpEntry
-	hits       int64
-	misses     int64
-	evictions  int64
+	mu        sync.Mutex
+	cap       int
+	entries   map[runKey]*cpEntry
+	lru       lruList[cpEntry, *cpEntry]
+	hits      int64
+	misses    int64
+	evictions int64
 }
 
 // checkpoints is the process-wide cache keyed by runKey. The key carries the
 // full configuration (benchmark, scheme, SNC and L2 geometry, crypto
 // latency) and deliberately not the scale — see the file comment.
-var checkpoints = &checkpointCache{
-	cap:     checkpointCapacity,
-	entries: make(map[runKey]*cpEntry),
+var checkpoints = newCheckpointCache(checkpointCapacity)
+
+// newCheckpointCache returns an empty cache bounded to capacity entries
+// (<= 0 means unbounded).
+func newCheckpointCache(capacity int) *checkpointCache {
+	return &checkpointCache{cap: capacity, entries: make(map[runKey]*cpEntry)}
 }
 
 // get returns the checkpoint for k, refreshing its recency. The miss
@@ -86,7 +89,7 @@ func (c *checkpointCache) get(k runKey) (*sim.Checkpoint, bool) {
 		return nil, false
 	}
 	c.hits++
-	c.moveToFront(e)
+	c.lru.moveToFront(e)
 	return e.cp, true
 }
 
@@ -97,51 +100,18 @@ func (c *checkpointCache) put(k runKey, cp *sim.Checkpoint) {
 	defer c.mu.Unlock()
 	if e, ok := c.entries[k]; ok {
 		e.cp = cp
-		c.moveToFront(e)
+		c.lru.moveToFront(e)
 		return
 	}
 	e := &cpEntry{key: k, cp: cp}
 	c.entries[k] = e
-	c.pushFront(e)
-	for c.cap > 0 && len(c.entries) > c.cap && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
+	c.lru.pushFront(e)
+	for c.cap > 0 && len(c.entries) > c.cap {
+		victim := c.lru.back()
+		c.lru.remove(victim)
 		delete(c.entries, victim.key)
 		c.evictions++
 	}
-}
-
-func (c *checkpointCache) pushFront(e *cpEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	} else {
-		c.tail = e
-	}
-	c.head = e
-}
-
-func (c *checkpointCache) unlink(e *cpEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *checkpointCache) moveToFront(e *cpEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }
 
 func (c *checkpointCache) stats() CheckpointStats {

@@ -200,3 +200,45 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 		t.Errorf("post-repair Runner ran %d simulations, want 0", r4.Simulations())
 	}
 }
+
+// TestCheckpointCacheLRU pins the checkpoint cache's bookkeeping on a
+// private instance: the capacity bound holds, a get refreshes recency so
+// the least recently *used* entry (not the oldest insert) is evicted, a
+// re-put replaces in place without evicting, and every counter matches.
+func TestCheckpointCacheLRU(t *testing.T) {
+	c := newCheckpointCache(2)
+	key := func(b string) runKey { return runKey{bench: b} }
+	cps := map[string]*sim.Checkpoint{"a": {}, "b": {}, "c": {}, "d": {}}
+
+	c.put(key("a"), cps["a"])
+	c.put(key("b"), cps["b"])
+	if got, ok := c.get(key("a")); !ok || got != cps["a"] {
+		t.Fatalf("get(a) = (%p, %v), want the stored checkpoint", got, ok)
+	}
+	// a was just used, so inserting c must evict b.
+	c.put(key("c"), cps["c"])
+	if _, ok := c.get(key("b")); ok {
+		t.Error("b survived although it was the least recently used entry")
+	}
+	for _, k := range []string{"a", "c"} {
+		if got, ok := c.get(key(k)); !ok || got != cps[k] {
+			t.Errorf("get(%s) = (%p, %v), want the stored checkpoint", k, got, ok)
+		}
+	}
+	// Replacing a cached key refreshes it and evicts nothing.
+	repl := &sim.Checkpoint{}
+	c.put(key("a"), repl)
+	if got, _ := c.get(key("a")); got != repl {
+		t.Error("re-put did not replace the cached checkpoint")
+	}
+	// c is now the least recently used; d evicts it.
+	c.put(key("d"), cps["d"])
+	if _, ok := c.get(key("c")); ok {
+		t.Error("c survived although it was the least recently used entry")
+	}
+
+	want := CheckpointStats{Size: 2, Capacity: 2, Hits: 4, Misses: 2, Evictions: 2}
+	if st := c.stats(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+}

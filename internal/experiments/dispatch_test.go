@@ -39,77 +39,15 @@ func TestExpandBenchesDedupe(t *testing.T) {
 	}
 }
 
-func TestParseSimJobs(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int
-	}{
-		{"auto", SimJobsAuto},
-		{" AUTO ", SimJobsAuto},
-		{"0", 0},
-		{"1", 1},
-		{"4", 4},
-	} {
-		got, err := ParseSimJobs(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseSimJobs(%q) = (%d, %v), want %d", tc.in, got, err, tc.want)
-		}
-	}
-	for _, bad := range []string{"-2", "many", "", "1.5"} {
-		if _, err := ParseSimJobs(bad); err == nil {
-			t.Errorf("ParseSimJobs(%q) accepted, want error", bad)
-		}
-	}
-}
-
-// TestSimJobsAutoEquivalence: a Runner with SimJobs = SimJobsAuto sizes the
-// epoch split from the dispatch budget's observed slack instead of a fixed
-// K, and must still return byte-identical results. A direct Run on an
-// otherwise idle 4-slot budget holds one slot itself, leaving slack 3, so
-// the adaptive split is deterministically 4 epochs.
-//
-// The scale is unique to this test so the process-wide epoch and checkpoint
-// caches cannot hand it entries recorded by other tests.
-func TestSimJobsAutoEquivalence(t *testing.T) {
-	const scale = 0.024
-	s := epochSpec(t, "mcf", schemeLRU)
-
-	serial := NewRunner(scale)
-	serial.Jobs = 1
-	want, err := serial.Run(s)
+// defaultSpec builds a spec for the scheme under the paper's default
+// configuration.
+func defaultSpec(t *testing.T, bench, scheme string) Spec {
+	t.Helper()
+	ref, err := sim.SchemeByName(scheme)
 	if err != nil {
-		t.Fatalf("serial: %v", err)
+		t.Fatal(err)
 	}
-
-	auto := NewRunner(scale)
-	auto.Jobs = 4
-	auto.SimJobs = SimJobsAuto
-	got, err := auto.Run(s)
-	if err != nil {
-		t.Fatalf("auto: %v", err)
-	}
-	if got != want {
-		t.Errorf("adaptive parallel result diverged:\n got %+v\nwant %+v", got, want)
-	}
-	st := auto.SpeculationStats()
-	if st.ParallelRuns != 1 || st.Epochs != 4 {
-		t.Errorf("speculation %+v, want 1 parallel run split into 4 epochs (cap 4, one slot held by the run itself)", st)
-	}
-
-	// Auto on a single-slot budget must degrade to the serial path.
-	narrow := NewRunner(scale)
-	narrow.Jobs = 1
-	narrow.SimJobs = SimJobsAuto
-	res, err := narrow.Run(epochSpec(t, "gzip", schemeLRU))
-	if err != nil {
-		t.Fatalf("narrow auto: %v", err)
-	}
-	if res.Instructions == 0 {
-		t.Error("narrow auto run returned an empty result")
-	}
-	if st := narrow.SpeculationStats(); st.ParallelRuns != 0 {
-		t.Errorf("1-slot auto runner recorded %d parallel runs, want 0 (no slack to split)", st.ParallelRuns)
-	}
+	return DefaultSpec(bench, ref)
 }
 
 // TestSweepEachStreaming: SweepEach must invoke the callback exactly once
@@ -120,9 +58,9 @@ func TestSimJobsAutoEquivalence(t *testing.T) {
 func TestSweepEachStreaming(t *testing.T) {
 	const scale = 0.025
 	specs := []Spec{
-		epochSpec(t, "mcf", schemeLRU),
-		epochSpec(t, "gzip", schemeLRU),
-		epochSpec(t, "parser", schemeLRU),
+		defaultSpec(t, "mcf", schemeLRU),
+		defaultSpec(t, "gzip", schemeLRU),
+		defaultSpec(t, "parser", schemeLRU),
 	}
 	r := NewRunner(scale)
 	r.Jobs = 2
@@ -165,7 +103,7 @@ func TestRunDispatchedSheds(t *testing.T) {
 	r.Jobs = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunDispatched(ctx, epochSpec(t, "vpr", schemeLRU)); !errors.Is(err, context.Canceled) {
+	if _, err := r.RunDispatched(ctx, defaultSpec(t, "vpr", schemeLRU)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunDispatched on dead context = %v, want context.Canceled", err)
 	}
 	if n := r.Simulations(); n != 0 {

@@ -82,7 +82,7 @@ func TestRunWaiterCancellation(t *testing.T) {
 	m.mu.Lock()
 	e.val = want
 	m.inflight--
-	m.pushFront(e)
+	m.lru.pushFront(e)
 	m.mu.Unlock()
 	close(e.done)
 	got, err := r.RunCtx(context.Background(), spec)
@@ -149,7 +149,7 @@ func TestOwnerDetachedFromCallerContext(t *testing.T) {
 	tm.mu.Lock()
 	te.err = sentinel
 	tm.inflight--
-	tm.pushFront(te)
+	tm.lru.pushFront(te)
 	tm.mu.Unlock()
 	close(te.done)
 	if err := <-resCh; !errors.Is(err, sentinel) {

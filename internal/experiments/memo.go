@@ -52,7 +52,7 @@ type memoEntry[K comparable, V any] struct {
 	// LRU links, valid only for completed entries (the owner links the
 	// entry when it records the outcome). In-flight entries are unlinked
 	// and therefore pinned: eviction walks the LRU list only.
-	prev, next *memoEntry[K, V]
+	lruLinks[memoEntry[K, V]]
 }
 
 // memo deduplicates concurrent computations per key and caches the results
@@ -64,14 +64,14 @@ type memo[K comparable, V any] struct {
 	mu      sync.Mutex
 	cap     int // <= 0 means unbounded
 	entries map[K]*memoEntry[K, V]
-	// head/tail are the completed-entry LRU list, most recent first.
-	head, tail *memoEntry[K, V]
-	inflight   int
-	hits       int64
-	misses     int64
-	coalesced  int64
-	evictions  int64
-	errors     int64
+	// lru orders the completed entries, most recent first.
+	lru       lruList[memoEntry[K, V], *memoEntry[K, V]]
+	inflight  int
+	hits      int64
+	misses    int64
+	coalesced int64
+	evictions int64
+	errors    int64
 	// describe renders a key for panic error messages ("simulation
 	// mcf/snc-lru"), set per memo so the message names what failed.
 	describe func(K) string
@@ -106,7 +106,7 @@ func (m *memo[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, erro
 		select {
 		case <-e.done: // completed: a plain cache hit
 			m.hits++
-			m.moveToFront(e)
+			m.lru.moveToFront(e)
 			m.mu.Unlock()
 			return e.val, e.err
 		default:
@@ -136,7 +136,7 @@ func (m *memo[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, erro
 			delete(m.entries, e.key)
 			m.errors++
 		} else {
-			m.pushFront(e)
+			m.lru.pushFront(e)
 			m.evictLocked()
 		}
 		m.mu.Unlock()
@@ -176,45 +176,12 @@ func (m *memo[K, V]) wait(ctx context.Context, e *memoEntry[K, V]) (V, error) {
 // distinct in-flight specs would otherwise thrash the completed set down
 // to nothing).
 func (m *memo[K, V]) evictLocked() {
-	for m.cap > 0 && len(m.entries)-m.inflight > m.cap && m.tail != nil {
-		e := m.tail
-		m.unlink(e)
+	for m.cap > 0 && len(m.entries)-m.inflight > m.cap {
+		e := m.lru.back()
+		m.lru.remove(e)
 		delete(m.entries, e.key)
 		m.evictions++
 	}
-}
-
-func (m *memo[K, V]) pushFront(e *memoEntry[K, V]) {
-	e.prev = nil
-	e.next = m.head
-	if m.head != nil {
-		m.head.prev = e
-	} else {
-		m.tail = e
-	}
-	m.head = e
-}
-
-func (m *memo[K, V]) unlink(e *memoEntry[K, V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		m.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		m.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (m *memo[K, V]) moveToFront(e *memoEntry[K, V]) {
-	if m.head == e {
-		return
-	}
-	m.unlink(e)
-	m.pushFront(e)
 }
 
 // size reports the number of memoized entries (in-flight included).

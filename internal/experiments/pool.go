@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -95,12 +94,6 @@ func (r *Runner) resultErr(ctx context.Context, k runKey) error {
 // checkpoint.go): the first simulation of a configuration warms up and
 // checkpoints the boundary state, later ones restore it and run only the
 // measured phase — event-for-event identical to the straight-through run.
-//
-// With SimJobs > 1 (or SimJobsAuto) and slack in the shared worker budget,
-// the measured phase instead runs epoch-parallel through a cached
-// sim.EpochSim (see epoch.go); its Result is byte-identical to the serial
-// path's, so the memo, the persistent store and the goldens never see which
-// path produced a number.
 func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result, error) {
 	prof, ok := workload.ByName(k.bench)
 	if !ok {
@@ -116,8 +109,8 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 	}
 	if !held {
 		// Direct callers charge the budget themselves; Hold never blocks
-		// (overcommit just leaves no slack for epoch workers), matching a
-		// dispatched job's one-slot footprint.
+		// (overcommit just leaves no idle slot for dispatched jobs),
+		// matching a dispatched job's one-slot footprint.
 		b := r.bud()
 		b.Hold()
 		defer b.Release(1)
@@ -125,9 +118,6 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 	warm := prof.WarmupRefs()
 	if warm > len(recs) {
 		warm = len(recs)
-	}
-	if res, ok, err := r.simulateParallel(k, cfg, recs, warm); ok || err != nil {
-		return res, err
 	}
 	sys, err := sim.New(cfg)
 	if err != nil {
@@ -144,57 +134,6 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 		checkpoints.put(k, cp)
 	}
 	return sys.RunMeasured(workload.Replay(recs[warm:])), nil
-}
-
-// simulateParallel attempts the epoch-parallel measured phase: it fires only
-// when the Runner grants intra-sim workers (SimJobs > 1, or SimJobsAuto)
-// AND the shared budget has at least one idle slot. ok=false means "run the
-// serial path" — either the feature is off, the budget is saturated, or the
-// scheme cannot checkpoint (EpochSim requires snapshottable, hashable
-// state). The run draws its extra workers from the dispatch budget just in
-// time, leg by leg (sim.EpochSim.RunMeasuredBudget), rather than reserving
-// them up front — slack that appears mid-run is used, slack that vanishes
-// degrades the run toward serial. The speculation bookkeeping is folded
-// into the Runner's totals and stripped from the returned Result, which
-// keeps every memoized/stored Result a pure function of the configuration
-// regardless of execution path.
-func (r *Runner) simulateParallel(k runKey, cfg sim.Config, recs []workload.Record, warm int) (res sim.Result, ok bool, err error) {
-	epochs := r.epochCount()
-	if epochs <= 1 {
-		return sim.Result{}, false, nil
-	}
-	key := r.epochKey(k, epochs)
-	es, cached := epochSims.get(key)
-	if !cached {
-		var eserr error
-		es, eserr = sim.NewEpochSim(cfg, epochs)
-		if eserr != nil {
-			return sim.Result{}, false, nil
-		}
-		epochSims.put(key, es)
-	}
-	cp, have := checkpoints.get(k)
-	if !have {
-		// Warm up once on a fresh system; the boundary checkpoint feeds the
-		// same process-wide cache serial forks use.
-		sys, nerr := sim.New(cfg)
-		if nerr != nil {
-			return sim.Result{}, false, nerr
-		}
-		sys.RunWarmup(workload.Replay(recs[:warm]))
-		if cp, have = sys.Checkpoint(); !have {
-			return sim.Result{}, false, nil
-		}
-		checkpoints.put(k, cp)
-	}
-	r.sims.Add(1)
-	res, err = es.RunMeasuredBudget(cp, recs[warm:], r.bud())
-	if err != nil {
-		return sim.Result{}, false, err
-	}
-	r.recordSpeculation(res.Speculation)
-	res.Speculation = sim.SpecStats{}
-	return res, true, nil
 }
 
 // traceMemo returns the trace memo, initializing it on first use (see
@@ -418,22 +357,6 @@ func ExpandBenches(arg string) ([]string, error) {
 		return nil, fmt.Errorf("no benchmarks given")
 	}
 	return out, nil
-}
-
-// ParseSimJobs parses a -simjobs flag value: "auto" (case-insensitive)
-// selects SimJobsAuto — the epoch count adapts to observed worker-budget
-// slack — and anything else must be a non-negative integer (0/1 = serial).
-// Shared by the secsim and secsimd flag parsers.
-func ParseSimJobs(s string) (int, error) {
-	s = strings.TrimSpace(s)
-	if strings.EqualFold(s, "auto") {
-		return SimJobsAuto, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf(`simjobs wants a non-negative integer or "auto", got %q`, s)
-	}
-	return n, nil
 }
 
 func (s Spec) key() runKey {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"math"
 )
 
 // MACSize is the stored MAC width in bytes (truncated SHA-256 HMAC; the
@@ -47,6 +48,12 @@ type Verifier struct {
 
 // ErrTampered is returned when a line fails verification.
 var ErrTampered = errors.New("integrity: line MAC mismatch (spoofed, spliced or replayed)")
+
+// ErrSeqExhausted is returned by ProtectedStore.Write once a line's 16-bit
+// sequence number has reached its maximum. Wrapping it back to zero would
+// make every (ciphertext, MAC) pair captured since the last wrap verify
+// again, so the store refuses further writes to that line instead.
+var ErrSeqExhausted = errors.New("integrity: line sequence number exhausted")
 
 // NewVerifier creates a verifier for the given line size.
 func NewVerifier(key []byte, lineBytes int) (*Verifier, error) {
@@ -115,13 +122,21 @@ func NewProtectedStore(key []byte, lineBytes int) (*ProtectedStore, error) {
 }
 
 // Write stores a ciphertext line, advancing its trusted sequence number and
-// recomputing the MAC (what the chip does on every writeback).
+// recomputing the MAC (what the chip does on every writeback). A failed
+// write leaves the line, its MAC and its sequence number untouched; once
+// the sequence number reaches math.MaxUint16 every further write to the
+// line fails with ErrSeqExhausted.
 func (p *ProtectedStore) Write(lineVA uint64, ct []byte) error {
-	p.seqs[lineVA]++
-	mac, err := p.verifier.MAC(lineVA, p.seqs[lineVA], ct)
+	seq := p.seqs[lineVA]
+	if seq == math.MaxUint16 {
+		return fmt.Errorf("%w (line %#x)", ErrSeqExhausted, lineVA)
+	}
+	seq++
+	mac, err := p.verifier.MAC(lineVA, seq, ct)
 	if err != nil {
 		return err
 	}
+	p.seqs[lineVA] = seq
 	// The store owns its line buffers (reads, snapshots and tampers all
 	// copy), so a rewrite reuses the line's buffer.
 	p.lines[lineVA] = append(p.lines[lineVA][:0], ct...)

@@ -119,6 +119,63 @@ func TestReplayWithoutSeqWouldPass(t *testing.T) {
 	}
 }
 
+func TestFailedWriteLeavesLineReadable(t *testing.T) {
+	// A rejected write must not advance the trusted sequence number, or
+	// the still-stored line would stop verifying.
+	p := newStore(t)
+	if err := p.Write(0x1000, line(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(0x1000, make([]byte, 64)); err == nil {
+		t.Fatal("wrong-length write accepted")
+	}
+	got, err := p.Read(0x1000)
+	if err != nil {
+		t.Fatalf("line unreadable after a failed write: %v", err)
+	}
+	if !bytes.Equal(got, line(7)) {
+		t.Error("failed write changed the stored line")
+	}
+}
+
+func TestSeqExhaustionBlocksReplay(t *testing.T) {
+	// 65536 writes after the snapshot would wrap a 16-bit sequence number
+	// back to the snapshot's value and make the stale pair verify again.
+	// The store must refuse the wrapping writes and keep the last good line.
+	p := newStore(t)
+	if err := p.Write(0x1000, line(1)); err != nil {
+		t.Fatal(err)
+	}
+	oldCT, oldMAC := p.Snapshot(0x1000)
+	var refused int
+	for i := 0; i < 1<<16; i++ {
+		err := p.Write(0x1000, line(byte(i)))
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrSeqExhausted):
+			refused++
+		default:
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	// Writes 2..65535 fit the sequence space; the remaining two are refused.
+	if refused != 2 {
+		t.Errorf("%d writes refused, want 2", refused)
+	}
+	got, err := p.Read(0x1000)
+	if err != nil {
+		t.Fatalf("line unreadable after exhaustion: %v", err)
+	}
+	lastAccepted := 1<<16 - 3
+	if want := line(byte(lastAccepted)); !bytes.Equal(got, want) {
+		t.Errorf("line holds %#x..., want the last accepted write %#x...", got[0], want[0])
+	}
+	p.TamperReplay(0x1000, oldCT, oldMAC)
+	if _, err := p.Read(0x1000); !errors.Is(err, ErrTampered) {
+		t.Errorf("seq-1 snapshot replayed after 65536 writes: %v", err)
+	}
+}
+
 func TestLegitimateRewritesKeepVerifying(t *testing.T) {
 	p := newStore(t)
 	for i := 0; i < 10; i++ {

@@ -12,8 +12,6 @@ package mem
 import (
 	"fmt"
 	"sort"
-
-	"secureproc/internal/statehash"
 )
 
 // DRAMConfig describes main memory timing.
@@ -197,14 +195,6 @@ func (b *Bus) Snapshot() BusSnapshot {
 	}
 }
 
-// HashState folds the snapshot's behavior-affecting state into h: the read
-// and write reservation horizons. Transaction counters and busy cycles are
-// statistics and deliberately excluded.
-func (s *BusSnapshot) HashState(h *statehash.Hash) {
-	h.Word(s.nextFree)
-	h.Word(s.writeFree)
-}
-
 // Restore reinstates a snapshot taken from a bus with the same configuration.
 func (b *Bus) Restore(s BusSnapshot) {
 	b.nextFree = s.nextFree
@@ -293,25 +283,13 @@ type WriteBufferSnapshot struct {
 
 // Snapshot captures the buffer's full mutable state.
 func (w *WriteBuffer) Snapshot() WriteBufferSnapshot {
-	var s WriteBufferSnapshot
-	w.SnapshotInto(&s)
+	s := WriteBufferSnapshot{
+		pending:    make([]uint64, len(w.pending)),
+		inserted:   w.Inserted,
+		fullStalls: w.FullStalls,
+	}
+	copy(s.pending, w.pending)
 	return s
-}
-
-// SnapshotInto captures the buffer's state into s, reusing s's pending
-// array when its capacity suffices, so repeated boundary checkpoints into
-// the same snapshot are allocation-free in steady state.
-func (w *WriteBuffer) SnapshotInto(s *WriteBufferSnapshot) {
-	s.pending = append(s.pending[:0], w.pending...)
-	s.inserted = w.Inserted
-	s.fullStalls = w.FullStalls
-}
-
-// HashState folds the snapshot's behavior-affecting state into h: the
-// pending drain completion times (kept sorted by the buffer). Inserted and
-// FullStalls are statistics and deliberately excluded.
-func (s *WriteBufferSnapshot) HashState(h *statehash.Hash) {
-	h.Words(s.pending)
 }
 
 // Restore reinstates a snapshot taken from a buffer with the same depth. The

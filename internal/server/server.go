@@ -32,13 +32,6 @@ type Config struct {
 	Scale float64
 	// Jobs caps concurrent simulations in sweep fan-out (0 = GOMAXPROCS).
 	Jobs int
-	// SimJobs, when > 1, lets a single simulation split its measured phase
-	// into that many speculative epochs whenever the shared Jobs budget has
-	// idle workers — cutting the latency of one uncached request without
-	// changing any result (see experiments.Runner.SimJobs).
-	// experiments.SimJobsAuto (-1) sizes the split from observed budget
-	// slack instead. 0 or 1 keeps simulations serial.
-	SimJobs int
 	// Capacity bounds the result memo (LRU; 0 = unbounded). In-flight
 	// simulations are pinned and never evicted.
 	Capacity int
@@ -124,7 +117,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	r := experiments.NewRunner(cfg.Scale)
 	r.Jobs = cfg.Jobs
-	r.SimJobs = cfg.SimJobs
 	r.Capacity = cfg.Capacity
 	r.TraceCapacity = cfg.TraceCapacity
 	if cfg.StoreDir != "" {
@@ -743,8 +735,6 @@ func (s *Server) MetricsSnapshot() api.Metrics {
 		TraceMemo:      s.runner.TraceStats(),
 		ResultStore:    storeStats,
 		Checkpoints:    experiments.CheckpointCacheStats(),
-		Speculation:    s.runner.SpeculationStats(),
-		EpochSims:      experiments.EpochSimCacheStats(),
 		Dispatch: api.DispatchMetrics{
 			Admission: s.admission.Stats(),
 			Queue:     s.runner.DispatchStats(),

@@ -8,7 +8,6 @@ import (
 	"secureproc/internal/cpu"
 	"secureproc/internal/crypto/engine"
 	"secureproc/internal/mem"
-	"secureproc/internal/statehash"
 	"secureproc/internal/workload"
 )
 
@@ -48,58 +47,21 @@ type Checkpoint struct {
 // when the active scheme does not implement core.Snapshottable — such runs
 // simply cannot be forked and must warm up from scratch.
 func (s *System) Checkpoint() (*Checkpoint, bool) {
-	cp := &Checkpoint{}
-	if !s.CheckpointInto(cp) {
-		return nil, false
-	}
-	return cp, true
-}
-
-// CheckpointInto captures the system's architectural state into cp, reusing
-// cp's buffers from a previous capture so that repeated boundary
-// checkpoints (epoch-parallel simulation takes one per epoch) are
-// allocation-free in steady state. It reports false — leaving cp untouched
-// — when the active scheme does not implement core.Snapshottable.
-func (s *System) CheckpointInto(cp *Checkpoint) bool {
 	sn, ok := s.scheme.(core.Snapshottable)
 	if !ok {
-		return false
+		return nil, false
 	}
-	cp.cfg = s.cfg
-	s.cpu.SnapshotInto(&cp.cpu)
-	s.l1i.SnapshotInto(&cp.l1i)
-	s.l1d.SnapshotInto(&cp.l1d)
-	s.l2.SnapshotInto(&cp.l2)
-	cp.bus = s.bus.Snapshot()
-	s.wbuf.SnapshotInto(&cp.wbuf)
-	s.crypto.SnapshotInto(&cp.crypto)
-	if si, ok := s.scheme.(core.SnapshottableInto); ok {
-		cp.scheme = si.SnapshotStateInto(cp.scheme)
-	} else {
-		cp.scheme = sn.SnapshotState()
-	}
-	return true
-}
-
-// StateHash fingerprints the checkpoint's behavior-affecting state (clock,
-// retirement position, in-flight misses, cache tags/metadata/recency, bus
-// and crypto-pipeline reservations, write-buffer occupancy, scheme tables)
-// while excluding pure statistics counters. Two checkpoints of a
-// deterministic simulation hash identically exactly when continuing from
-// them produces identical behaviour, which is what epoch-parallel
-// speculation verifies before committing. ok=false means the scheme state's
-// kind is unknown to the hasher and the fingerprint must not be trusted.
-func (cp *Checkpoint) StateHash() (sum uint64, ok bool) {
-	h := statehash.New()
-	cp.cpu.HashState(&h)
-	cp.l1i.HashState(&h)
-	cp.l1d.HashState(&h)
-	cp.l2.HashState(&h)
-	cp.bus.HashState(&h)
-	cp.wbuf.HashState(&h)
-	cp.crypto.HashState(&h)
-	ok = core.HashSchemeState(cp.scheme, &h)
-	return h.Sum(), ok
+	return &Checkpoint{
+		cfg:    s.cfg,
+		cpu:    s.cpu.Snapshot(),
+		l1i:    s.l1i.Snapshot(),
+		l1d:    s.l1d.Snapshot(),
+		l2:     s.l2.Snapshot(),
+		bus:    s.bus.Snapshot(),
+		wbuf:   s.wbuf.Snapshot(),
+		crypto: s.crypto.Snapshot(),
+		scheme: sn.SnapshotState(),
+	}, true
 }
 
 // compatible reports whether two configurations describe the same machine.

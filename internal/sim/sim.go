@@ -165,63 +165,6 @@ type Result struct {
 	ROBStallCycles  uint64
 	MSHRStallCycles uint64
 	DepStallCycles  uint64
-
-	// Speculation reports how epoch-parallel execution produced this result.
-	// Always zero for serial runs, and zeroed by JSON omission rules
-	// (omitzero) so serial results serialize exactly as before. It is
-	// bookkeeping about the execution strategy, not simulated behaviour —
-	// byte-identical timing results may carry different Speculation values.
-	Speculation SpecStats `json:",omitzero"`
-}
-
-// SpecStats counts epoch-parallel speculation outcomes for one run.
-type SpecStats struct {
-	// Epochs is the number of epochs the measured stream was split into.
-	Epochs uint64
-	// Commits counts speculative epochs whose predicted start state hashed
-	// identically to the actual boundary state and were committed as-is.
-	Commits uint64
-	// Rollbacks counts speculative epochs whose prediction missed and were
-	// re-simulated from the true boundary state.
-	Rollbacks uint64
-	// ResimCycles is the total simulated cycles re-executed by rollbacks.
-	ResimCycles uint64
-}
-
-// Add accumulates o's counters into r (per-epoch delta merge: every Result
-// field other than Scheme is a monotone counter over the measured interval,
-// and Cycles/Instructions are clock deltas, so contiguous epochs sum to
-// exactly the serial run's totals). Scheme is kept from r unless empty.
-func (r *Result) Add(o Result) {
-	if r.Scheme == "" {
-		r.Scheme = o.Scheme
-	}
-	r.Cycles += o.Cycles
-	r.Instructions += o.Instructions
-	r.L1DMisses += o.L1DMisses
-	r.L1IMisses += o.L1IMisses
-	r.L2Misses += o.L2Misses
-	r.L2Hits += o.L2Hits
-	r.LineFills += o.LineFills
-	r.Writebacks += o.Writebacks
-	r.SeqNumFetches += o.SeqNumFetches
-	r.SeqNumSpills += o.SeqNumSpills
-	r.MACFetches += o.MACFetches
-	r.MACUpdates += o.MACUpdates
-	r.SNCQueryHits += o.SNCQueryHits
-	r.SNCQueryMisses += o.SNCQueryMisses
-	r.SNCUpdateHits += o.SNCUpdateHits
-	r.SNCUpdateMiss += o.SNCUpdateMiss
-	r.SeqOverflows += o.SeqOverflows
-	r.IntegrityVerified += o.IntegrityVerified
-	r.IntegrityStallCycles += o.IntegrityStallCycles
-	r.ROBStallCycles += o.ROBStallCycles
-	r.MSHRStallCycles += o.MSHRStallCycles
-	r.DepStallCycles += o.DepStallCycles
-	r.Speculation.Epochs += o.Speculation.Epochs
-	r.Speculation.Commits += o.Speculation.Commits
-	r.Speculation.Rollbacks += o.Speculation.Rollbacks
-	r.Speculation.ResimCycles += o.Speculation.ResimCycles
 }
 
 // IPC returns instructions per cycle.
