@@ -11,6 +11,10 @@ package experiments
 // secsimd requests after memo eviction) from the checkpoint instead of
 // re-simulating the warmup.
 //
+// Figure C1's scheduler runs fork the same way from sched.Prefix entries in
+// this cache (see figc1.go): a prefix freezes a multiprogrammed run before
+// any task leaves its warmup records, so it too is scale-independent.
+//
 // The cache is package-level and bounded: within one Runner the result memo
 // already guarantees at most one simulation per key, so checkpoints pay off
 // exactly when Runners come and go. Entries are deep snapshots (a restore
@@ -21,14 +25,16 @@ package experiments
 import (
 	"sync"
 
+	"secureproc/internal/sched"
 	"secureproc/internal/sim"
 )
 
 // checkpointCapacity bounds the checkpoint cache. The full figure set needs
-// ~150 distinct configurations; OTP checkpoints are the largest (SNC
-// contents + sequence tables, low single-digit MB each), so the bound keeps
-// worst-case retention in the low hundreds of MB while comfortably holding
-// every configuration the batch sweeps touch.
+// ~150 distinct configurations plus Figure C1's 16 scheduler prefixes; OTP
+// checkpoints are the largest (SNC contents + sequence tables, low
+// single-digit MB each), so the bound keeps worst-case retention in the low
+// hundreds of MB while comfortably holding every configuration the batch
+// sweeps touch.
 const checkpointCapacity = 256
 
 // CheckpointStats is a point-in-time snapshot of the checkpoint cache's
@@ -38,72 +44,107 @@ type CheckpointStats struct {
 	Size int `json:"size"`
 	// Capacity is the cache bound.
 	Capacity int `json:"capacity"`
-	// Hits counts simulations forked from a checkpoint (warmup skipped).
+	// Hits counts simulations (and Figure C1 scheduler runs) forked from a
+	// checkpoint or prefix (warmup skipped).
 	Hits int64 `json:"hits"`
-	// Misses counts simulations that ran their warmup (and, when the scheme
-	// supports snapshotting, left a checkpoint behind).
+	// Misses counts simulations and scheduler runs that ran their warmup
+	// (and, when the scheme supports snapshotting, left a checkpoint or
+	// prefix behind).
 	Misses int64 `json:"misses"`
 	// Evictions counts checkpoints dropped by the LRU bound.
 	Evictions int64 `json:"evictions"`
 }
 
-// cpEntry is one cached checkpoint with intrusive LRU links.
+// cpKey identifies one checkpoint-cache entry. A drained post-warmup
+// checkpoint of a single-program run (*sim.Checkpoint) is keyed by its
+// runKey alone. A scheduler prefix (*sched.Prefix) sets prefix, the
+// explicit discriminator: a solo prefix has the same runKey as the drained
+// checkpoint of its configuration, and the two are different states. For a
+// prefix, bench names the co-scheduled tasks in order ("mcf+gzip") and
+// quantum is the slice length.
+type cpKey struct {
+	runKey
+	prefix  bool
+	quantum uint64
+}
+
+// cpEntry is one cached checkpoint or prefix with intrusive LRU links.
 type cpEntry struct {
-	key runKey
-	cp  *sim.Checkpoint
+	key cpKey
+	val any
 	lruLinks[cpEntry]
 }
 
-// checkpointCache is a mutex-guarded LRU map of post-warmup checkpoints.
-// No singleflight: the result memo already deduplicates within a Runner, and
-// a cross-Runner duplicate warmup is rare and harmless.
+// checkpointCache is a mutex-guarded LRU map of post-warmup checkpoints
+// and scheduler prefixes. No singleflight: the result memo already
+// deduplicates within a Runner, and a cross-Runner duplicate warmup is rare
+// and harmless.
 type checkpointCache struct {
 	mu        sync.Mutex
 	cap       int
-	entries   map[runKey]*cpEntry
+	entries   map[cpKey]*cpEntry
 	lru       lruList[cpEntry, *cpEntry]
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
-// checkpoints is the process-wide cache keyed by runKey. The key carries the
-// full configuration (benchmark, scheme, SNC and L2 geometry, crypto
-// latency) and deliberately not the scale — see the file comment.
+// checkpoints is the process-wide cache. Its keys carry the full
+// configuration (benchmark, scheme, SNC and L2 geometry, crypto latency)
+// and deliberately not the scale — see the file comment.
 var checkpoints = newCheckpointCache(checkpointCapacity)
 
 // newCheckpointCache returns an empty cache bounded to capacity entries
 // (<= 0 means unbounded).
 func newCheckpointCache(capacity int) *checkpointCache {
-	return &checkpointCache{cap: capacity, entries: make(map[runKey]*cpEntry)}
+	return &checkpointCache{cap: capacity, entries: make(map[cpKey]*cpEntry)}
 }
 
-// get returns the checkpoint for k, refreshing its recency. The miss
-// counter is charged here: every simulate() call asks exactly once.
+// get returns the drained checkpoint for k, refreshing its recency.
 func (c *checkpointCache) get(k runKey) (*sim.Checkpoint, bool) {
+	cp, ok := c.lookup(cpKey{runKey: k}).(*sim.Checkpoint)
+	return cp, ok
+}
+
+// put caches the drained checkpoint for k.
+func (c *checkpointCache) put(k runKey, cp *sim.Checkpoint) { c.store(cpKey{runKey: k}, cp) }
+
+// getPrefix returns the scheduler prefix for k, refreshing its recency.
+func (c *checkpointCache) getPrefix(k cpKey) (*sched.Prefix, bool) {
+	p, ok := c.lookup(k).(*sched.Prefix)
+	return p, ok
+}
+
+// putPrefix caches the scheduler prefix for k.
+func (c *checkpointCache) putPrefix(k cpKey, p *sched.Prefix) { c.store(k, p) }
+
+// lookup returns the value cached under k (nil when absent), refreshing
+// its recency. The counters are charged here: every forkable run asks
+// exactly once.
+func (c *checkpointCache) lookup(k cpKey) any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil
 	}
 	c.hits++
 	c.lru.moveToFront(e)
-	return e.cp, true
+	return e.val
 }
 
-// put caches the checkpoint for k, evicting the least-recently-used entry
-// beyond capacity.
-func (c *checkpointCache) put(k runKey, cp *sim.Checkpoint) {
+// store caches v under k, evicting the least-recently-used entry beyond
+// capacity.
+func (c *checkpointCache) store(k cpKey, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[k]; ok {
-		e.cp = cp
+		e.val = v
 		c.lru.moveToFront(e)
 		return
 	}
-	e := &cpEntry{key: k, cp: cp}
+	e := &cpEntry{key: k, val: v}
 	c.entries[k] = e
 	c.lru.pushFront(e)
 	for c.cap > 0 && len(c.entries) > c.cap {

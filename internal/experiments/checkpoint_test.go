@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"secureproc/internal/sched"
 	"secureproc/internal/sim"
 	"secureproc/internal/store"
 	"secureproc/internal/workload"
@@ -240,5 +241,90 @@ func TestCheckpointCacheLRU(t *testing.T) {
 	want := CheckpointStats{Size: 2, Capacity: 2, Hits: 4, Misses: 2, Evictions: 2}
 	if st := c.stats(); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+}
+
+// figC1Runs is how many scheduler runs Figure C1 makes: one per (pair,
+// quantum, policy) cell plus one solo baseline per (benchmark, policy).
+const figC1Runs = len(figC1Pairs)*len(figC1Quanta)*len(figC1Policies) +
+	2*len(figC1Pairs)*len(figC1Policies)
+
+// TestFigureC1ForksFromPrefixes: once any Runner has built Figure C1, a
+// fresh Runner — at another scale — restores every one of its scheduler
+// runs from the cached prefixes (no warmup re-simulated), takes its traces
+// from its own trace memo (one materialization per benchmark, not per
+// run), and still renders the golden table byte for byte.
+func TestFigureC1ForksFromPrefixes(t *testing.T) {
+	if _, err := NewRunner(cpScale).FigureC1(); err != nil {
+		t.Fatal(err)
+	}
+	before := CheckpointCacheStats()
+	r := NewRunner(goldenScale)
+	fr, err := r.FigureC1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := CheckpointCacheStats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != int64(figC1Runs) || misses != 0 {
+		t.Errorf("fresh Runner's figC1: %d prefix hits, %d misses; want %d and 0", hits, misses, figC1Runs)
+	}
+	if m := r.TraceStats().Misses; m != 4 {
+		t.Errorf("figC1 materialized %d traces, want 4 (one per benchmark)", m)
+	}
+	if used := r.DispatchStats().BudgetUsed; used != 0 {
+		t.Errorf("figC1 left %d budget slots held", used)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "figC1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fr.Render(); got != string(want) {
+		t.Errorf("forked figC1 differs from the golden:\n%s", got)
+	}
+}
+
+// TestPrefixKeysNeverCrossDrained: a solo prefix has the same runKey as
+// the drained post-warmup checkpoint of its configuration, so only the
+// key's prefix discriminator keeps a drained lookup from being answered
+// with a scheduler prefix, or the reverse. Checked on a private cache and
+// on the process-wide one after Figure C1 has filled it.
+func TestPrefixKeysNeverCrossDrained(t *testing.T) {
+	const scheme = "snc-lru:switch=flush"
+	pk := prefixKey([]string{"mcf"}, scheme, sched.DefaultQuantum)
+	if pk.runKey != defaultKey("mcf", scheme) {
+		t.Fatalf("solo prefix runKey %+v, want the drained key", pk.runKey)
+	}
+	c := newCheckpointCache(4)
+	p, cp := &sched.Prefix{}, &sim.Checkpoint{}
+	c.putPrefix(pk, p)
+	if got, ok := c.get(defaultKey("mcf", scheme)); ok {
+		t.Fatalf("drained lookup returned %p from a cache holding only a prefix", got)
+	}
+	c.put(defaultKey("mcf", scheme), cp)
+	if got, ok := c.getPrefix(pk); !ok || got != p {
+		t.Errorf("prefix lookup = (%p, %v), want the cached prefix", got, ok)
+	}
+	if got, ok := c.get(defaultKey("mcf", scheme)); !ok || got != cp {
+		t.Errorf("drained lookup = (%p, %v), want the cached checkpoint", got, ok)
+	}
+
+	if _, err := NewRunner(cpScale).FigureC1(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range figC1Pairs {
+		for _, b := range pair {
+			for _, policy := range figC1Policies {
+				k := defaultKey(b, figC1Scheme(policy))
+				if _, ok := checkpoints.get(k); ok {
+					t.Errorf("drained lookup for %s/%s hit after figC1 ran no single-program simulation", b, policy)
+				}
+				if _, ok := checkpoints.getPrefix(cpKey{runKey: k}); ok {
+					t.Errorf("prefix lookup without the discriminator hit for %s/%s", b, policy)
+				}
+				if _, ok := checkpoints.getPrefix(prefixKey([]string{b}, figC1Scheme(policy), sched.DefaultQuantum)); !ok {
+					t.Errorf("no solo prefix cached for %s/%s", b, policy)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -405,52 +406,68 @@ func (r *Runner) build(f figureSpec) FigureResult {
 	return FigureResult{ID: f.id, Title: f.title, Measured: measured, Paper: f.paper, Notes: f.notes}
 }
 
-// figure sweeps and builds one figure by short name.
-func (r *Runner) figure(short string) FigureResult {
+// ErrUnknownFigure is the error ByName wraps when no figure has the
+// requested name.
+var ErrUnknownFigure = errors.New("experiments: unknown figure")
+
+// figure sweeps and builds one figure by short name, returning the sweep's
+// error.
+func (r *Runner) figure(short string) (FigureResult, error) {
 	for _, f := range figureSpecs() {
 		if f.short == short {
 			if err := r.sweep(context.Background(), f.keys()); err != nil { //secsim:detach process-lifetime figure build (All)
-				panic(err)
+				return FigureResult{}, err
 			}
-			return r.build(f)
+			return r.build(f), nil
 		}
 	}
-	panic("experiments: unknown figure " + short)
+	return FigureResult{}, fmt.Errorf("%w %q", ErrUnknownFigure, short)
+}
+
+// mustFigure is figure for the fixed-name accessors below: their specs are
+// built in, so an error is a programming bug and panics, as in All.
+func (r *Runner) mustFigure(short string) FigureResult {
+	fr, err := r.figure(short)
+	if err != nil {
+		panic(err)
+	}
+	return fr
 }
 
 // Figure3 regenerates Figure 3: XOM slowdown over the insecure baseline.
-func (r *Runner) Figure3() FigureResult { return r.figure("fig3") }
+func (r *Runner) Figure3() FigureResult { return r.mustFigure("fig3") }
 
 // Figure5 regenerates Figure 5: XOM vs SNC-NoRepl vs SNC-LRU (64KB SNC).
-func (r *Runner) Figure5() FigureResult { return r.figure("fig5") }
+func (r *Runner) Figure5() FigureResult { return r.mustFigure("fig5") }
 
 // Figure6 regenerates Figure 6: SNC capacity sweep under LRU.
-func (r *Runner) Figure6() FigureResult { return r.figure("fig6") }
+func (r *Runner) Figure6() FigureResult { return r.mustFigure("fig6") }
 
 // Figure7 regenerates Figure 7: fully associative vs 32-way SNC.
-func (r *Runner) Figure7() FigureResult { return r.figure("fig7") }
+func (r *Runner) Figure7() FigureResult { return r.mustFigure("fig7") }
 
 // Figure8 regenerates Figure 8: equal-area comparison of a larger L2 vs
 // adding the SNC (CACTI: 256KB 4-way L2 + 64KB 32-way SNC ≈ 384KB 6-way L2).
-func (r *Runner) Figure8() FigureResult { return r.figure("fig8") }
+func (r *Runner) Figure8() FigureResult { return r.mustFigure("fig8") }
 
 // Figure9 regenerates Figure 9: SNC-induced extra memory traffic as a
 // percentage of demand (L2<->memory) traffic, 64KB LRU SNC.
-func (r *Runner) Figure9() FigureResult { return r.figure("fig9") }
+func (r *Runner) Figure9() FigureResult { return r.mustFigure("fig9") }
 
 // Figure10 regenerates Figure 10: sensitivity to a 102-cycle crypto unit.
-func (r *Runner) Figure10() FigureResult { return r.figure("fig10") }
+func (r *Runner) Figure10() FigureResult { return r.mustFigure("fig10") }
 
 // FigureI1 generates the integrity-overhead figure: OTP+MAC (overlap and
 // blocking verification) and OTP-Precompute against SNC-LRU across all 11
 // benchmarks — the question the paper leaves open.
-func (r *Runner) FigureI1() FigureResult { return r.figure("figI1") }
+func (r *Runner) FigureI1() FigureResult { return r.mustFigure("figI1") }
 
 // All regenerates every figure in paper order. Every required single-
 // program simulation is enqueued up front and fanned out over the worker
 // pool, then the figures are assembled in deterministic order from the
 // memoized results; the multiprogrammed Figure C1 (which drives its own
-// scheduler runs) comes last.
+// scheduler runs over the same memoized traces) comes last. A failure
+// panics: every figure is built in, so it is a programming bug.
 func (r *Runner) All() []FigureResult {
 	specs := figureSpecs()
 	var keys []runKey
@@ -470,8 +487,11 @@ func (r *Runner) All() []FigureResult {
 	for _, f := range specs {
 		out = append(out, r.build(f))
 	}
-	out = append(out, r.FigureC1())
-	return out
+	c1, err := r.FigureC1()
+	if err != nil {
+		panic(err)
+	}
+	return append(out, c1)
 }
 
 // Names lists the regenerable figures.
@@ -485,19 +505,20 @@ func Names() []string {
 }
 
 // ByName regenerates one figure by short name ("fig5", case-insensitive);
-// "figure5" and "5" are accepted as aliases.
+// "figure5" and "5" are accepted as aliases. An unknown name wraps
+// ErrUnknownFigure; a failed sweep or scheduler run is returned as is.
 func (r *Runner) ByName(name string) (FigureResult, error) {
 	n := strings.ToLower(name)
 	for _, f := range figureSpecs() {
 		short := strings.ToLower(f.short)
 		if n == short || n == "figure"+strings.TrimPrefix(short, "fig") || n == strings.TrimPrefix(short, "fig") {
-			return r.figure(f.short), nil
+			return r.figure(f.short)
 		}
 	}
 	if n == "figc1" || n == "figurec1" || n == "c1" {
-		return r.FigureC1(), nil
+		return r.FigureC1()
 	}
-	return FigureResult{}, fmt.Errorf("experiments: unknown figure %q (have %s)", name, strings.Join(Names(), ", "))
+	return FigureResult{}, fmt.Errorf("%w %q (have %s)", ErrUnknownFigure, name, strings.Join(Names(), ", "))
 }
 
 // CachedRuns reports how many simulations are currently memoized

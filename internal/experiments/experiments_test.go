@@ -248,7 +248,10 @@ func TestRenderReportsPaperMismatch(t *testing.T) {
 // claims at test scale: flush always costs more than pid, flush always
 // pays switch traffic, pid never does, and shorter quanta hurt more.
 func TestFigureC1Shapes(t *testing.T) {
-	fr := NewRunner(0.05).FigureC1()
+	fr, err := NewRunner(0.05).FigureC1()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(fr.Rows) == 0 {
 		t.Fatal("figure C1 must define its own rows")
 	}

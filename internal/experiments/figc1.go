@@ -10,12 +10,14 @@ package experiments
 // paper describes.
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"secureproc/internal/sched"
-	"secureproc/internal/sim"
 	"secureproc/internal/stats"
+	"secureproc/internal/workload"
 )
 
 // figC1Pairs co-schedules a cache-friendly benchmark with a miss-heavy one
@@ -28,131 +30,149 @@ var figC1Quanta = [2]uint64{10_000, 50_000}
 // figC1Policies are the Section 4.3 options as registry parameters.
 var figC1Policies = [2]string{"flush", "pid"}
 
-// figC1Config is the machine for one policy.
-func figC1Config(policy string) sim.Config {
-	ref, err := sim.SchemeByName("snc-lru:switch=" + policy)
-	if err != nil {
-		panic(err)
+// figC1Scheme is the canonical registry reference for one policy.
+func figC1Scheme(policy string) string { return "snc-lru:switch=" + policy }
+
+// prefixKey is the checkpoint-cache key of the scheduler prefix for benches
+// co-scheduled at quantum under scheme on the paper's default machine. The
+// scale is deliberately absent: see sched.Prefix.
+func prefixKey(benches []string, scheme string, quantum uint64) cpKey {
+	return cpKey{runKey: defaultKey(strings.Join(benches, "+"), scheme), prefix: true, quantum: quantum}
+}
+
+// schedRun runs benches time-sliced at quantum under scheme, holding one
+// slot of the shared worker budget. It forks from the cached prefix when
+// there is one and leaves the prefix it captured behind when there is not;
+// a scheme that is not Snapshottable runs straight through every time.
+func (r *Runner) schedRun(traces []sched.Trace, scheme string, quantum uint64) (sched.Result, error) {
+	benches := make([]string, len(traces))
+	for i, tr := range traces {
+		benches[i] = tr.Bench
 	}
-	cfg := sim.DefaultConfig()
-	cfg.Scheme = ref
-	return cfg
+	k := prefixKey(benches, scheme, quantum)
+	cfg, err := r.config(k.runKey)
+	if err != nil {
+		return sched.Result{}, err
+	}
+	b := r.bud()
+	b.Hold()
+	defer b.Release(1)
+	from, _ := checkpoints.getPrefix(k)
+	res, p, err := sched.RunTraces(sched.Config{Sim: cfg, Quantum: quantum, SkipSolo: true}, traces, from)
+	if p != nil {
+		checkpoints.putPrefix(k, p)
+	}
+	return res, err
 }
 
 // FigureC1 generates the multiprogrammed context-switch figure (measured
 // only — the paper states the design, Section 4.3, but reports no
-// numbers). The scheduler runs and their solo baselines are all
-// independent, so they fan out over up to Runner.Jobs goroutines like any
-// other sweep; assembly order is fixed, so the output is deterministic.
-func (r *Runner) FigureC1() FigureResult {
-	type cell struct{ slowdown, trafficPct float64 }
-	nrows := len(figC1Pairs) * len(figC1Quanta)
-	var results [2][]cell
-	var rows []string
-	for pi := range figC1Policies {
-		results[pi] = make([]cell, nrows)
+// numbers). Every run replays the Runner's memoized traces and forks from
+// its scale-independent prefix in the process-wide checkpoint cache. The
+// scheduler runs and their solo baselines are all independent, so they fan
+// out over up to Runner.Jobs goroutines, each holding one slot of the
+// shared worker budget; assembly order is fixed, so the output is
+// deterministic.
+func (r *Runner) FigureC1() (FigureResult, error) {
+	ctx := context.Background() //secsim:detach process-lifetime figure build, like the other figures' sweeps
+	traces := make(map[string]sched.Trace)
+	for _, pair := range figC1Pairs {
+		for _, bench := range pair {
+			if _, ok := traces[bench]; ok {
+				continue
+			}
+			prof, ok := workload.ByName(bench)
+			if !ok {
+				return FigureResult{}, fmt.Errorf("experiments: unknown benchmark %q", bench)
+			}
+			recs, err := r.trace(ctx, prof)
+			if err != nil {
+				return FigureResult{}, fmt.Errorf("experiments: figC1: %w", err)
+			}
+			traces[bench] = sched.NewTrace(prof, recs)
+		}
 	}
 
-	// Solo baselines are policy-dependent (PID tags shrink the SNC) but
-	// quantum- and pair-independent: one run per (bench, policy). Workers
-	// write disjoint slice slots; the lookup map is built after the join.
-	type soloKey struct{ bench, policy string }
-	var soloKeys []soloKey
-	seen := make(map[soloKey]bool)
+	// One run per solo baseline and per (pair, quantum, policy) cell. Solo
+	// baselines are policy-dependent (PID tags shrink the SNC) but quantum-
+	// and pair-independent: one run per (bench, policy). Workers write
+	// disjoint slots.
+	type c1run struct {
+		benches []string
+		policy  string
+		quantum uint64
+		res     sched.Result
+	}
+	var runs []*c1run
+	solos := make(map[[2]string]*c1run)
 	for _, pair := range figC1Pairs {
 		for _, bench := range pair {
 			for _, policy := range figC1Policies {
-				if k := (soloKey{bench, policy}); !seen[k] {
-					seen[k] = true
-					soloKeys = append(soloKeys, k)
+				if k := [2]string{bench, policy}; solos[k] == nil {
+					solos[k] = &c1run{benches: []string{bench}, policy: policy, quantum: sched.DefaultQuantum}
+					runs = append(runs, solos[k])
 				}
 			}
 		}
 	}
-	soloVals := make([]uint64, len(soloKeys))
-	multis := make([]sched.Result, nrows*len(figC1Policies))
+	var rows []string
+	var multis []*c1run // row-major: pair, quantum, then policy
+	for _, pair := range figC1Pairs {
+		for _, quantum := range figC1Quanta {
+			rows = append(rows, fmt.Sprintf("%s+%s q=%d", pair[0], pair[1], quantum))
+			for _, policy := range figC1Policies {
+				run := &c1run{benches: pair[:], policy: policy, quantum: quantum}
+				multis = append(multis, run)
+				runs = append(runs, run)
+			}
+		}
+	}
 
-	// Workers record the first error instead of panicking: a panic in a
-	// spawned goroutine would kill the process, while the other figure
-	// paths fail in the calling goroutine (recoverably).
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
 	sem := make(chan struct{}, r.jobs())
-	spawn := func(f func()) {
+	for _, run := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			f()
-		}()
-	}
-	for i, k := range soloKeys {
-		i, k := i, k
-		spawn(func() {
-			v, err := sched.Solo(figC1Config(k.policy), k.bench, r.Scale)
+			tasks := make([]sched.Trace, len(run.benches))
+			for i, b := range run.benches {
+				tasks[i] = traces[b]
+			}
+			res, err := r.schedRun(tasks, figC1Scheme(run.policy), run.quantum)
 			if err != nil {
-				fail(fmt.Errorf("experiments: figC1 solo %s: %w", k.bench, err))
+				errOnce.Do(func() {
+					firstErr = fmt.Errorf("experiments: figC1 %s: %w", strings.Join(run.benches, "+"), err)
+				})
 				return
 			}
-			soloVals[i] = v
-		})
-	}
-	row := 0
-	for _, pair := range figC1Pairs {
-		pair := pair
-		for _, quantum := range figC1Quanta {
-			quantum := quantum
-			rows = append(rows, fmt.Sprintf("%s+%s q=%d", pair[0], pair[1], quantum))
-			for pi, policy := range figC1Policies {
-				slot := row*len(figC1Policies) + pi
-				policy := policy
-				spawn(func() {
-					res, err := sched.RunBenchmarks(sched.Config{
-						Sim:      figC1Config(policy),
-						Quantum:  quantum,
-						Scale:    r.Scale,
-						SkipSolo: true,
-					}, pair[:])
-					if err != nil {
-						fail(fmt.Errorf("experiments: figC1 %s+%s: %w", pair[0], pair[1], err))
-						return
-					}
-					multis[slot] = res
-				})
-			}
-			row++
-		}
+			run.res = res
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
-		// Same contract as every other figure: a bad configuration is a
-		// programming error and fails in the calling goroutine.
-		panic(firstErr)
-	}
-	solos := make(map[soloKey]uint64, len(soloKeys))
-	for i, k := range soloKeys {
-		solos[k] = soloVals[i]
+		return FigureResult{}, firstErr
 	}
 
-	for row := 0; row < nrows; row++ {
-		for pi := range figC1Policies {
-			res := multis[row*len(figC1Policies)+pi]
-			avg := 0.0
-			for _, task := range res.Tasks {
-				s := solos[soloKey{task.Bench, figC1Policies[pi]}]
-				avg += 100 * (float64(task.Cycles)/float64(s) - 1)
-			}
-			avg /= float64(len(res.Tasks))
-			results[pi][row] = cell{
-				slowdown:   avg,
-				trafficPct: stats.Pct(res.SwitchSeqSpills, res.DemandTraffic),
-			}
+	type cell struct{ slowdown, trafficPct float64 }
+	var results [len(figC1Policies)][]cell
+	for i, run := range multis {
+		pi := i % len(figC1Policies)
+		avg := 0.0
+		for _, task := range run.res.Tasks {
+			s := solos[[2]string{task.Bench, run.policy}].res.TotalCycles
+			avg += 100 * (float64(task.Cycles)/float64(s) - 1)
 		}
+		avg /= float64(len(run.res.Tasks))
+		results[pi] = append(results[pi], cell{
+			slowdown:   avg,
+			trafficPct: stats.Pct(run.res.SwitchSeqSpills, run.res.DemandTraffic),
+		})
 	}
 
 	mk := func(name string, pi int, f func(cell) float64) stats.Series {
@@ -175,5 +195,5 @@ func (r *Runner) FigureC1() FigureResult {
 		Notes: "every switch invalidates L1/L2 (dirty lines drain through the scheme) under both policies; " +
 			"flush additionally spills live SNC entries (switch-traffic% of demand traffic), " +
 			"pid keeps entries resident at the cost of 8 tag bits per entry (21.8K vs 32K sequence numbers)",
-	}
+	}, nil
 }

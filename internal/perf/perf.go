@@ -78,6 +78,7 @@ const latencyScale = 1.0
 func Collect() Snapshot {
 	s := make(Snapshot)
 	s["figure-sweep"] = measureSweep()
+	s["figure-c1"] = measureFigureC1()
 	for _, p := range []struct {
 		name   string
 		scheme sim.SchemeRef
@@ -225,6 +226,23 @@ func measureSweep() Metric {
 		r.Jobs = 1 // sequential: comparable across machines with any core count
 		r.All()
 		return int(r.Simulations()), 0
+	})
+}
+
+// measureFigureC1 builds Figure C1 alone under the same protocol as
+// measureSweep — golden scale, a fresh Runner per op, Jobs=1 — so a
+// regression in the multiprogrammed figure has its own name in the gate.
+// The untimed warmup op leaves the figure's scheduler prefixes in the
+// process-wide checkpoint cache; the timed rounds fork every run from them
+// (each op still materializes its four traces into the fresh Runner).
+func measureFigureC1() Metric {
+	return measureOp(func() (int, uint64) {
+		r := experiments.NewRunner(sweepScale)
+		r.Jobs = 1
+		if _, err := r.FigureC1(); err != nil {
+			panic(err)
+		}
+		return 0, 0
 	})
 }
 

@@ -94,11 +94,82 @@ type Result struct {
 	Tasks []TaskResult
 }
 
-// task is the scheduler's per-stream state.
-type task struct {
-	res    TaskResult
-	stream workload.Stream
-	done   bool
+// Trace is one task's materialized record sequence: Recs is what
+// workload.Materialize emits for the task's profile, and Warmup is the
+// profile's WarmupRefs (clamped to len(Recs)). Warmup records never scale,
+// so Recs[:Warmup] is the same at every workload scale.
+type Trace struct {
+	Bench  string
+	Recs   []workload.Record
+	Warmup int
+}
+
+// materialize generates one task's trace at the given scale.
+func materialize(prof workload.Profile, scale float64) (Trace, error) {
+	recs, err := workload.Materialize(prof, scale)
+	if err != nil {
+		return Trace{}, err
+	}
+	return NewTrace(prof, recs), nil
+}
+
+// NewTrace wraps records already materialized from prof (shared, never
+// written) as a Trace.
+func NewTrace(prof workload.Profile, recs []workload.Record) Trace {
+	return Trace{Bench: prof.Name, Recs: recs, Warmup: min(prof.WarmupRefs(), len(recs))}
+}
+
+// state is the scheduler's own part of a run: everything besides the
+// machine that the loop carries from one record to the next.
+type state struct {
+	// cur is the running task; sliceCycles and sliceInstr are the machine
+	// clock and retired count when its current slice opened.
+	cur                     int
+	sliceCycles, sliceInstr uint64
+	// pos is each task's replay cursor into its trace; tasks holds the
+	// per-task accounting of the slices closed so far.
+	pos   []int
+	tasks []TaskResult
+	// The four switch counters of Result.
+	switches, switchWritebacks, switchSeqSpills, switchCycles uint64
+}
+
+// Prefix is a run frozen the first time one of its tasks reaches the end
+// of its warmup records: the machine checkpoint (taken mid-slice, without a
+// drain — the CPU snapshot carries the in-flight misses) plus the
+// scheduler state. Every record stepped before that point is a warmup
+// record, and warmup never scales, so a prefix is a pure function of the
+// task list, the quantum and the machine configuration: a run over the
+// same tasks at any scale passes through exactly this state, and
+// RunTraces can resume it there. A Prefix is immutable; any number of runs
+// may restore it concurrently.
+type Prefix struct {
+	quantum uint64
+	cp      *sim.Checkpoint
+	st      state
+}
+
+// clone deep-copies the slices so the copy and the original evolve
+// independently.
+func (s state) clone() state {
+	s.pos = append([]int(nil), s.pos...)
+	s.tasks = append([]TaskResult(nil), s.tasks...)
+	return s
+}
+
+// check reports whether p can resume a run of traces at quantum: same
+// tasks in the same order, every cursor still inside its warmup records.
+func (p *Prefix) check(quantum uint64, traces []Trace) error {
+	if p.quantum != quantum || len(p.st.tasks) != len(traces) {
+		return fmt.Errorf("sched: prefix is for %d tasks at quantum %d, run has %d at %d",
+			len(p.st.tasks), p.quantum, len(traces), quantum)
+	}
+	for i, tr := range traces {
+		if p.st.tasks[i].Bench != tr.Bench || p.st.pos[i] > tr.Warmup {
+			return fmt.Errorf("sched: prefix task %d (%s) does not match trace %s", i, p.st.tasks[i].Bench, tr.Bench)
+		}
+	}
+	return nil
 }
 
 // Run time-slices the given workloads through one machine built from
@@ -108,100 +179,19 @@ func Run(cfg Config, profs []workload.Profile) (Result, error) {
 	if len(profs) < 2 {
 		return Result{}, fmt.Errorf("sched: need at least 2 workloads (got %d)", len(profs))
 	}
-	quantum := cfg.Quantum
-	if quantum == 0 {
-		quantum = DefaultQuantum
+	if cfg.Scale <= 0 {
+		return Result{}, fmt.Errorf("sched: scale must be positive (got %g)", cfg.Scale)
 	}
-	scale := cfg.Scale
-	if scale <= 0 {
-		return Result{}, fmt.Errorf("sched: scale must be positive (got %g)", scale)
-	}
-	sys, err := sim.New(cfg.Sim)
-	if err != nil {
-		return Result{}, err
-	}
-
-	tasks := make([]*task, len(profs))
+	traces := make([]Trace, len(profs))
 	for i, p := range profs {
-		stream, err := workload.NewStream(p, scale)
+		tr, err := materialize(p, cfg.Scale)
 		if err != nil {
 			return Result{}, err
 		}
-		tasks[i] = &task{res: TaskResult{Bench: p.Name, PID: i}, stream: stream}
+		traces[i] = tr
 	}
-
-	res := Result{Scheme: sys.Scheme().Name(), Policy: policyLabel(sys), Quantum: quantum}
-
-	// Round-robin until every stream is exhausted. The machine starts on
-	// task 0 with no switch charged (cold start, not a context switch).
-	running := len(tasks)
-	cur := 0
-	for running > 0 {
-		t := tasks[cur]
-		if t.done {
-			cur = (cur + 1) % len(tasks)
-			continue
-		}
-		sliceCycles, sliceInstr := sys.Cycles(), sys.Retired()
-		for sys.Retired()-sliceInstr < quantum {
-			rec, ok := t.stream.Next()
-			if !ok {
-				t.done = true
-				running--
-				break
-			}
-			sys.Step(rec)
-		}
-		t.res.Slices++
-		t.res.Cycles += sys.Cycles() - sliceCycles
-		t.res.Instructions += sys.Retired() - sliceInstr
-
-		// Find the next runnable task; switch only if it is a different one.
-		next := cur
-		for i := 1; i <= len(tasks); i++ {
-			cand := (cur + i) % len(tasks)
-			if !tasks[cand].done {
-				next = cand
-				break
-			}
-		}
-		if running > 0 && next != cur {
-			// In-flight fills complete before the caches are torn down;
-			// their latency belongs to the task that issued them.
-			drain0 := sys.Cycles()
-			sys.Drain()
-			t.res.Cycles += sys.Cycles() - drain0
-			before := sys.Cycles()
-			cost := sys.ContextSwitch(tasks[next].res.PID)
-			res.Switches++
-			res.SwitchWritebacks += cost.DirtyWritebacks
-			res.SwitchSeqSpills += cost.SeqSpills
-			res.SwitchCycles += sys.Cycles() - before
-			cur = next
-		}
-	}
-	// Outstanding misses of the last slice drain on its task's account.
-	last := tasks[cur]
-	drainStart := sys.Cycles()
-	sys.Drain()
-	last.res.Cycles += sys.Cycles() - drainStart
-	res.TotalCycles = sys.Cycles()
-	res.DemandTraffic = sys.BusDemandTransactions()
-
-	for _, t := range tasks {
-		if !cfg.SkipSolo {
-			solo, err := Solo(cfg.Sim, t.res.Bench, scale)
-			if err != nil {
-				return Result{}, err
-			}
-			t.res.SoloCycles = solo
-			if solo > 0 {
-				t.res.SlowdownPct = 100 * (float64(t.res.Cycles)/float64(solo) - 1)
-			}
-		}
-		res.Tasks = append(res.Tasks, t.res)
-	}
-	return res, nil
+	res, _, err := run(cfg, traces, nil, false)
+	return res, err
 }
 
 // RunBenchmarks is Run over benchmark names.
@@ -217,6 +207,20 @@ func RunBenchmarks(cfg Config, benches []string) (Result, error) {
 	return Run(cfg, profs)
 }
 
+// RunTraces time-slices one or more materialized traces through one
+// machine built from cfg.Sim (cfg.Scale is unused: the traces are already
+// scaled). A one-task run is a solo run; its TotalCycles is the solo
+// baseline. With from == nil the run starts cold and also returns the
+// prefix it passed through (nil when the scheme is not
+// core.Snapshottable); with a prefix it restores it and runs only the rest.
+// Either way the Result is identical to a straight-through run.
+func RunTraces(cfg Config, traces []Trace, from *Prefix) (Result, *Prefix, error) {
+	if len(traces) == 0 {
+		return Result{}, nil, fmt.Errorf("sched: no tasks")
+	}
+	return run(cfg, traces, from, from == nil)
+}
+
 // Solo runs one workload alone, start to finish, on a fresh machine with
 // the same configuration and measurement protocol as the sliced run
 // (everything counts — multiprogrammed slices cannot exclude warmup, so
@@ -227,23 +231,143 @@ func Solo(cfg sim.Config, bench string, scale float64) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sched: unknown benchmark %q", bench)
 	}
-	sys, err := sim.New(cfg)
+	tr, err := materialize(prof, scale)
 	if err != nil {
 		return 0, err
 	}
-	stream, err := workload.NewStream(prof, scale)
-	if err != nil {
-		return 0, err
+	res, _, err := run(Config{Sim: cfg, SkipSolo: true}, []Trace{tr}, nil, false)
+	return res.TotalCycles, err
+}
+
+// run is the scheduler loop behind every entry point: round-robin slices
+// of the quantum over per-task replay cursors until every trace is
+// exhausted. capture asks for the prefix to be taken on the way; from
+// resumes one. Unless cfg.SkipSolo, each task's solo baseline is a
+// one-task run of this same loop over the same trace.
+func run(cfg Config, traces []Trace, from *Prefix, capture bool) (Result, *Prefix, error) {
+	quantum := cfg.Quantum
+	if quantum == 0 {
+		quantum = DefaultQuantum
 	}
-	for {
-		rec, ok := stream.Next()
-		if !ok {
-			break
+	sys, err := sim.New(cfg.Sim)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	var st state
+	// open marks a slice already in progress: a restored prefix was
+	// captured mid-slice, so the loop re-enters it instead of opening one.
+	open := false
+	if from != nil {
+		if err := from.check(quantum, traces); err != nil {
+			return Result{}, nil, err
 		}
-		sys.Step(rec)
+		if err := sys.Restore(from.cp); err != nil {
+			return Result{}, nil, err
+		}
+		st, open = from.st.clone(), true
+	} else {
+		st.pos = make([]int, len(traces))
+		st.tasks = make([]TaskResult, len(traces))
+		for i, tr := range traces {
+			st.tasks[i] = TaskResult{Bench: tr.Bench, PID: i}
+		}
 	}
+	var prefix *Prefix
+
+	// Round-robin until every trace is exhausted. The machine starts on
+	// task 0 with no switch charged (cold start, not a context switch).
+	// No task is exhausted at a prefix, so a restored run has them all.
+	done := make([]bool, len(traces))
+	running := len(traces)
+	for running > 0 {
+		cur := st.cur
+		if done[cur] {
+			st.cur = (cur + 1) % len(traces)
+			continue
+		}
+		t, tr := &st.tasks[cur], traces[cur]
+		if !open {
+			st.sliceCycles, st.sliceInstr = sys.Cycles(), sys.Retired()
+		}
+		open = false
+		for sys.Retired()-st.sliceInstr < quantum {
+			pos := st.pos[cur]
+			if capture && pos == tr.Warmup {
+				// Checked before exhaustion: a trace with an empty
+				// measured phase must freeze at the same point as any
+				// longer one.
+				capture = false
+				if cp, ok := sys.Checkpoint(); ok {
+					prefix = &Prefix{quantum: quantum, cp: cp, st: st.clone()}
+				}
+			}
+			if pos == len(tr.Recs) {
+				done[cur] = true
+				running--
+				break
+			}
+			sys.Step(tr.Recs[pos])
+			st.pos[cur] = pos + 1
+		}
+		t.Slices++
+		t.Cycles += sys.Cycles() - st.sliceCycles
+		t.Instructions += sys.Retired() - st.sliceInstr
+
+		// Find the next runnable task; switch only if it is a different one.
+		next := cur
+		for i := 1; i <= len(traces); i++ {
+			cand := (cur + i) % len(traces)
+			if !done[cand] {
+				next = cand
+				break
+			}
+		}
+		if running > 0 && next != cur {
+			// In-flight fills complete before the caches are torn down;
+			// their latency belongs to the task that issued them.
+			drain0 := sys.Cycles()
+			sys.Drain()
+			t.Cycles += sys.Cycles() - drain0
+			before := sys.Cycles()
+			cost := sys.ContextSwitch(st.tasks[next].PID)
+			st.switches++
+			st.switchWritebacks += cost.DirtyWritebacks
+			st.switchSeqSpills += cost.SeqSpills
+			st.switchCycles += sys.Cycles() - before
+			st.cur = next
+		}
+	}
+	// Outstanding misses of the last slice drain on its task's account.
+	drainStart := sys.Cycles()
 	sys.Drain()
-	return sys.Cycles(), nil
+	st.tasks[st.cur].Cycles += sys.Cycles() - drainStart
+
+	res := Result{
+		Scheme:           sys.Scheme().Name(),
+		Policy:           policyLabel(sys),
+		Quantum:          quantum,
+		Switches:         st.switches,
+		SwitchWritebacks: st.switchWritebacks,
+		SwitchSeqSpills:  st.switchSeqSpills,
+		SwitchCycles:     st.switchCycles,
+		TotalCycles:      sys.Cycles(),
+		DemandTraffic:    sys.BusDemandTransactions(),
+		Tasks:            st.tasks,
+	}
+	if !cfg.SkipSolo {
+		for i := range res.Tasks {
+			solo, _, err := run(Config{Sim: cfg.Sim, SkipSolo: true}, traces[i:i+1], nil, false)
+			if err != nil {
+				return Result{}, nil, err
+			}
+			t := &res.Tasks[i]
+			t.SoloCycles = solo.TotalCycles
+			if t.SoloCycles > 0 {
+				t.SlowdownPct = 100 * (float64(t.Cycles)/float64(t.SoloCycles) - 1)
+			}
+		}
+	}
+	return res, prefix, nil
 }
 
 // policyLabel reads the scheme's context-switch policy for reporting; "-"

@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"secureproc/internal/sim"
+	"secureproc/internal/workload"
 )
 
 // testConfig is a small, fast multiprogram configuration.
@@ -198,6 +200,151 @@ func TestRenderMentionsEveryTask(t *testing.T) {
 	for _, want := range []string{"mcf", "gzip", "switches:", "slowdown%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// traces materializes benches at scale for the replay entry points.
+func traces(t *testing.T, scale float64, benches ...string) []Trace {
+	t.Helper()
+	out := make([]Trace, len(benches))
+	for i, b := range benches {
+		prof, ok := workload.ByName(b)
+		if !ok {
+			t.Fatalf("unknown benchmark %q", b)
+		}
+		tr, err := materialize(prof, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = tr
+	}
+	return out
+}
+
+// TestPrefixResumesAcrossScales is the forking property Figure C1 relies
+// on: a prefix captured at one scale, restored into a run at another,
+// reproduces that run's straight-through Result exactly — for both switch
+// policies and a scheme without per-process state, at both figure quanta.
+// Capturing must not perturb the run that captures.
+func TestPrefixResumesAcrossScales(t *testing.T) {
+	const small, large = 0.02, 0.05
+	for _, scheme := range []string{"snc-lru:switch=flush", "snc-lru:switch=pid", "baseline"} {
+		for _, quantum := range []uint64{10_000, 50_000} {
+			for _, pair := range [][]string{{"mcf", "gzip"}, {"art", "vpr"}} {
+				cfg := testConfig(t, scheme, quantum)
+				cfg.SkipSolo = true
+				name := fmt.Sprintf("%s/q%d/%s", scheme, quantum, strings.Join(pair, "+"))
+				t.Run(name, func(t *testing.T) {
+					smallTr, largeTr := traces(t, small, pair...), traces(t, large, pair...)
+					want, _, err := run(cfg, smallTr, nil, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, smallP, err := RunTraces(cfg, smallTr, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("capturing run diverged from straight-through:\n got %+v\nwant %+v", got, want)
+					}
+					wantLarge, largeP, err := RunTraces(cfg, largeTr, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if smallP == nil || largeP == nil {
+						t.Fatal("snapshottable scheme captured no prefix")
+					}
+					// Each scale resumes the other scale's prefix; the two
+					// small-scale restores share one prefix concurrently
+					// (a prefix is shared, never written).
+					var wg sync.WaitGroup
+					res := make([]Result, 3)
+					errs := make([]error, 3)
+					for i := range res {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							if i == 0 {
+								res[i], _, errs[i] = RunTraces(cfg, largeTr, smallP)
+							} else {
+								res[i], _, errs[i] = RunTraces(cfg, smallTr, largeP)
+							}
+						}()
+					}
+					wg.Wait()
+					for i, w := range []Result{wantLarge, want, want} {
+						if errs[i] != nil {
+							t.Fatal(errs[i])
+						}
+						if !reflect.DeepEqual(res[i], w) {
+							t.Errorf("restored run %d diverged:\n got %+v\nwant %+v", i, res[i], w)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPrefixRejectsOtherRuns checks a prefix only resumes the run it was
+// captured from: other tasks, another order or another quantum fail.
+func TestPrefixRejectsOtherRuns(t *testing.T) {
+	cfg := testConfig(t, "snc-lru", 10_000)
+	cfg.SkipSolo = true
+	_, p, err := RunTraces(cfg, traces(t, 0.02, "mcf", "gzip"), nil)
+	if err != nil || p == nil {
+		t.Fatalf("capture: prefix %v, err %v", p, err)
+	}
+	if _, _, err := RunTraces(cfg, traces(t, 0.02, "gzip", "mcf"), p); err == nil {
+		t.Error("prefix resumed a run with the tasks swapped")
+	}
+	if _, _, err := RunTraces(cfg, traces(t, 0.02, "mcf"), p); err == nil {
+		t.Error("prefix resumed a one-task run")
+	}
+	cfg.Quantum = 50_000
+	if _, _, err := RunTraces(cfg, traces(t, 0.02, "mcf", "gzip"), p); err == nil {
+		t.Error("prefix resumed a run at another quantum")
+	}
+}
+
+// TestOneTaskRunIsSolo pins the solo baseline to its definition: one
+// workload stepped straight through on a fresh machine, then drained. The
+// one-task scheduler run (Solo, and RunTraces resumed from a prefix) must
+// report exactly that cycle count.
+func TestOneTaskRunIsSolo(t *testing.T) {
+	for _, scheme := range []string{"snc-lru:switch=pid", "baseline"} {
+		for _, bench := range []string{"mcf", "gzip"} {
+			cfg := testConfig(t, scheme, 0)
+			trs := traces(t, cfg.Scale, bench)
+			sys, err := sim.New(cfg.Sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range trs[0].Recs {
+				sys.Step(rec)
+			}
+			sys.Drain()
+			want := sys.Cycles()
+
+			solo, err := Solo(cfg.Sim, bench, cfg.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.SkipSolo = true
+			cold, p, err := RunTraces(cfg, trs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forked, _, err := RunTraces(cfg, trs, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string]uint64{"Solo": solo, "cold": cold.TotalCycles, "forked": forked.TotalCycles} {
+				if got != want {
+					t.Errorf("%s/%s: %s run = %d cycles, straight step-then-drain = %d", scheme, bench, name, got, want)
+				}
+			}
 		}
 	}
 }

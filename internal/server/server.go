@@ -655,7 +655,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.Context().Err() != nil:
 			return
-		case strings.Contains(err.Error(), "unknown figure"):
+		case errors.Is(err, experiments.ErrUnknownFigure):
 			s.writeError(w, "figures", api.CodeNotFound, err)
 		default:
 			s.writeError(w, "figures", api.CodeInternal, err)
